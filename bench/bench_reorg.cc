@@ -1,8 +1,8 @@
-// Blocking vs. incremental vs. overlapped reorganization on the AIS
-// workload (§6.2 setup, Hilbert Curve partitioner): the incremental
-// reorganization engine slices each scale-out's MovePlan into
-// bandwidth-budgeted increments and, in overlapped mode, folds the cycle's
-// query workload into the migration window via dual-residency routing.
+// Serial vs. overlapped reorganization on the AIS workload (§6.2 setup,
+// Hilbert Curve partitioner): the incremental reorganization engine slices
+// each scale-out's MovePlan into bandwidth-budgeted increments and, under
+// the overlapped policies, folds the cycle's query workload into the
+// migration window via dual-residency routing.
 //
 // Emits BENCH_reorg.json with machine-independent simulated-minute metrics
 // (the CI trend check consumes them).
@@ -20,10 +20,11 @@ using namespace arraydb;
 
 namespace {
 
-workload::RunResult RunMode(workload::ReorgMode mode, double increment_gb) {
+workload::RunResult RunPolicy(workload::MigrationPolicy policy,
+                              double increment_gb) {
   workload::RunnerConfig cfg = bench::PartitionerExperimentConfig(
       core::PartitionerKind::kHilbertCurve);
-  cfg.reorg.mode = mode;
+  cfg.reorg.policy = policy;
   cfg.reorg.increment_gb = increment_gb;
   cfg.ingest.threads = 0;  // Auto: exercise the parallel prewarm overlap.
   workload::AisWorkload ais;
@@ -34,13 +35,12 @@ workload::RunResult RunMode(workload::ReorgMode mode, double increment_gb) {
 // bandwidth-constrained cluster (t = 1 min/GB) ingesting 2.5x the standard
 // AIS volume under the leading-staircase policy, so migration traffic
 // actually competes with inserts for link time.
-workload::RunResult RunStaircase(workload::MigrationBudgetPolicy policy) {
+workload::RunResult RunStaircase(workload::MigrationPolicy policy) {
   workload::RunnerConfig cfg = bench::PartitionerExperimentConfig(
       core::PartitionerKind::kHilbertCurve);
   cfg.policy = workload::ScaleOutPolicy::kStaircase;
   cfg.max_nodes = 64;  // The staircase decides on its own.
-  cfg.reorg.mode = workload::ReorgMode::kOverlapped;
-  cfg.reorg.budget_policy = policy;
+  cfg.reorg.policy = policy;
   cfg.ingest.threads = 0;
   cfg.cost_params.net_minutes_per_gb = 1.0;
   workload::AisConfig heavy;
@@ -53,16 +53,15 @@ workload::RunResult RunStaircase(workload::MigrationBudgetPolicy policy) {
 
 int main() {
   std::printf(
-      "Incremental reorganization: blocking vs. overlapped cycles on AIS\n"
+      "Incremental reorganization: serial vs. overlapped cycles on AIS\n"
       "(Hilbert Curve partitioner, 2->8 nodes, 8 GB migration "
       "increments).\n\n");
 
   const double kIncrementGb = 8.0;
-  const auto blocking = RunMode(workload::ReorgMode::kBlocking, kIncrementGb);
-  const auto incremental =
-      RunMode(workload::ReorgMode::kIncremental, kIncrementGb);
+  const auto serial =
+      RunPolicy(workload::MigrationPolicy::kSerial, kIncrementGb);
   const auto overlapped =
-      RunMode(workload::ReorgMode::kOverlapped, kIncrementGb);
+      RunPolicy(workload::MigrationPolicy::kOverlapped, kIncrementGb);
 
   const std::vector<size_t> widths = {13, 11, 10, 11, 11, 10, 9};
   bench::Row({"Mode", "insert", "reorg", "queries", "elapsed", "saved",
@@ -80,13 +79,12 @@ int main() {
                                 static_cast<int>(r.total_reorg_increments))},
                widths);
   };
-  row("blocking", blocking);
-  row("incremental", incremental);
+  row("serial", serial);
   row("overlapped", overlapped);
   bench::Rule(84);
 
-  const double speedup = blocking.total_workload_minutes() /
-                         overlapped.total_elapsed_minutes;
+  const double speedup =
+      serial.total_workload_minutes() / overlapped.total_elapsed_minutes;
   std::printf(
       "Overlapped cycles run %.2fx faster end to end: migration increments\n"
       "execute behind the query workload (dual-residency routing keeps\n"
@@ -105,18 +103,15 @@ int main() {
   }
 
   // Fixed-vs-arbitrated migration budgets under an ingest-heavy staircase:
-  // the retired constant scheme (whole plan drained in its scale-out cycle
-  // at fixed 8 GB increments), the fixed per-cycle pacing, and the
-  // cost-model arbitration (reorg::BandwidthArbiter).
+  // kOverlapped (whole plan drained in its scale-out cycle at fixed 8 GB
+  // increments), kPaced (one fixed increment per cycle), and kArbitrated
+  // (cost-model arbitration through reorg::BandwidthArbiter).
   std::printf(
       "\nMigration/ingest bandwidth arbitration (ingest-heavy AIS, "
       "staircase policy):\n");
-  const auto fixed_drain =
-      RunStaircase(workload::MigrationBudgetPolicy::kFixedDrain);
-  const auto fixed_paced =
-      RunStaircase(workload::MigrationBudgetPolicy::kFixedPaced);
-  const auto arbitrated =
-      RunStaircase(workload::MigrationBudgetPolicy::kArbitrated);
+  const auto fixed_drain = RunStaircase(workload::MigrationPolicy::kOverlapped);
+  const auto fixed_paced = RunStaircase(workload::MigrationPolicy::kPaced);
+  const auto arbitrated = RunStaircase(workload::MigrationPolicy::kArbitrated);
   const std::vector<size_t> awidths = {13, 11, 11, 11, 10, 8};
   bench::Row({"Budget", "stall", "elapsed", "moved", "forced", "incr"},
              awidths);
@@ -143,10 +138,10 @@ int main() {
       "ingest path.\n");
 
   bench::JsonBenchWriter writer;
-  writer.AddMetric("blocking_total_minutes",
-                   blocking.total_workload_minutes());
-  writer.AddMetric("incremental_total_minutes",
-                   incremental.total_elapsed_minutes);
+  // The serial run stands in for both retired modes: the atomic blocking
+  // path and the drained incremental one produced identical results.
+  writer.AddMetric("blocking_total_minutes", serial.total_workload_minutes());
+  writer.AddMetric("incremental_total_minutes", serial.total_elapsed_minutes);
   writer.AddMetric("overlapped_total_minutes",
                    overlapped.total_elapsed_minutes);
   writer.AddMetric("overlap_saved_minutes",
@@ -175,13 +170,11 @@ int main() {
   std::printf("\nWrote BENCH_reorg.json\n");
 
   // The acceptance properties this bench exists to demonstrate.
-  if (!(overlapped.total_elapsed_minutes <
-        blocking.total_workload_minutes())) {
+  if (!(overlapped.total_elapsed_minutes < serial.total_workload_minutes())) {
     std::fprintf(stderr,
-                 "FAIL: overlapped elapsed (%.2f) not below blocking "
-                 "(%.2f)\n",
+                 "FAIL: overlapped elapsed (%.2f) not below serial (%.2f)\n",
                  overlapped.total_elapsed_minutes,
-                 blocking.total_workload_minutes());
+                 serial.total_workload_minutes());
     return 1;
   }
   if (!(arbitrated.total_ingest_stall_minutes <

@@ -15,6 +15,7 @@
 #include "cluster/cluster.h"
 #include "core/elastic_engine.h"
 #include "core/partitioner_factory.h"
+#include "reorg/reorg_engine.h"
 #include "util/strings.h"
 
 using namespace arraydb;
@@ -64,13 +65,25 @@ int main() {
   }
 
   // --- 3. Scale out: one new node joins; only it receives data. ---
+  // The partitioner plans the moves; the incremental reorganization engine
+  // migrates them in bandwidth-budgeted increments.
   std::printf("\nScaling out to 3 nodes...\n");
-  const auto reorg = engine.ScaleOut(1);
+  const core::ScaleOutPrep prep = engine.PrepareScaleOut(1);
+  reorg::IncrementalReorgEngine migration(&engine.mutable_cluster(),
+                                          &engine.cost_model());
+  util::Status status = migration.Begin(prep.plan, prep.first_new_node);
+  if (status.ok()) status = migration.Drain();
+  if (!status.ok()) {
+    std::printf("reorganization failed: %s\n", status.ToString().c_str());
+    return 1;
+  }
+  const reorg::ReorgSummary& reorg = migration.summary();
+  engine.RecordReorgMinutes(reorg.work_minutes);
   std::printf(
       "Reorganization moved %lld chunks (%.4f GB) in %.3f simulated "
       "minutes;\nincremental (data shipped only to the new node): %s\n",
       static_cast<long long>(reorg.chunks_moved), reorg.moved_gb,
-      reorg.minutes, reorg.only_to_new_nodes ? "yes" : "NO");
+      reorg.work_minutes, reorg.only_to_new_nodes ? "yes" : "NO");
   for (const auto& rec : engine.cluster().AllChunks()) {
     std::printf("  chunk %-8s -> node %d\n",
                 array::CoordinatesToString(rec.coords).c_str(), rec.node);

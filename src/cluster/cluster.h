@@ -63,6 +63,8 @@ class Cluster : public PlacementView {
 
   /// Applies a move plan atomically; every move must name the chunk's
   /// current owner. Fails while an incremental reorganization is active.
+  /// The reference oracle the incremental path is tested against; the
+  /// workload runner always migrates incrementally.
   util::Status Apply(const MovePlan& plan);
 
   // -- Incremental application (copy-then-flip) -----------------------------

@@ -48,23 +48,6 @@ void ElasticEngine::set_ingest_threads(int threads) {
   ingest_threads_ = util::ResolveThreadCount(threads);
 }
 
-ReorgStats ElasticEngine::ScaleOut(int nodes_to_add) {
-  const ScaleOutPrep prep = PrepareScaleOut(nodes_to_add);
-
-  ReorgStats stats;
-  stats.nodes_added = prep.nodes_added;
-  stats.only_to_new_nodes = prep.plan.OnlyToNodesAtOrAbove(prep.first_new_node);
-  const auto cost = cost_model_.ReorgMinutes(prep.plan, cluster_.num_nodes());
-  stats.minutes = cost.minutes;
-  stats.moved_gb = cost.moved_gb;
-  stats.chunks_moved = cost.chunks_moved;
-
-  const auto status = cluster_.Apply(prep.plan);
-  ARRAYDB_CHECK(status.ok());
-  total_reorg_minutes_ += stats.minutes;
-  return stats;
-}
-
 ScaleOutPrep ElasticEngine::PrepareScaleOut(int nodes_to_add) {
   ARRAYDB_CHECK_GE(nodes_to_add, 1);
   const int old_count = cluster_.num_nodes();

@@ -1,7 +1,8 @@
 // ElasticEngine: the coordinator tying cluster, partitioner, and cost model
-// together. It executes the two elastic operations of the workload model —
-// batch ingest and scale-out-plus-reorganize — updating placement state and
-// charging simulated elapsed time.
+// together. It executes batch ingest and stages scale-outs (new nodes plus
+// the partitioner's repartitioning plan), updating placement state and
+// charging simulated elapsed time. The staged plan migrates through a
+// reorg::IncrementalReorgEngine.
 
 #ifndef ARRAYDB_CORE_ELASTIC_ENGINE_H_
 #define ARRAYDB_CORE_ELASTIC_ENGINE_H_
@@ -23,20 +24,9 @@ struct InsertStats {
   int64_t chunks = 0;
 };
 
-struct ReorgStats {
-  double minutes = 0.0;
-  double moved_gb = 0.0;
-  int64_t chunks_moved = 0;
-  int nodes_added = 0;
-  /// Whether every relocation targeted a newly added node (Table 1's
-  /// incremental scale-out property, verified against the substrate).
-  bool only_to_new_nodes = true;
-};
-
 /// A scale-out staged but not yet applied: the nodes have been added and the
-/// partitioner has produced its repartitioning plan. The caller realizes the
-/// plan either atomically (Cluster::Apply) or incrementally through a
-/// reorg::IncrementalReorgEngine.
+/// partitioner has produced its repartitioning plan. The caller migrates the
+/// plan through a reorg::IncrementalReorgEngine.
 struct ScaleOutPrep {
   cluster::MovePlan plan;
   cluster::NodeId first_new_node = cluster::kInvalidNode;
@@ -64,17 +54,12 @@ class ElasticEngine {
   /// parallel (ordered merge), then the routing loop runs as usual.
   InsertStats IngestBatch(const std::vector<array::ChunkInfo>& batch);
 
-  /// Adds `nodes_to_add` empty nodes, asks the partitioner for a
-  /// repartitioning plan, applies it atomically, and prices the
-  /// reorganization (the legacy blocking path).
-  ReorgStats ScaleOut(int nodes_to_add);
-
   /// Adds `nodes_to_add` empty nodes and returns the partitioner's plan
   /// *without* applying it, for incremental execution by the caller.
   ScaleOutPrep PrepareScaleOut(int nodes_to_add);
 
-  /// Charges reorganization minutes executed outside ScaleOut (the
-  /// incremental path), keeping total_reorg_minutes() consistent.
+  /// Charges reorganization minutes the caller's IncrementalReorgEngine
+  /// executed, keeping total_reorg_minutes() consistent.
   void RecordReorgMinutes(double minutes) { total_reorg_minutes_ += minutes; }
 
   const cluster::Cluster& cluster() const { return cluster_; }

@@ -1,27 +1,6 @@
 #include "exec/exec_context.h"
 
-#include <mutex>
-
 namespace arraydb::exec {
-
-namespace {
-
-// The one process-default context the legacy knob shims mutate and the
-// no-options operator overloads snapshot. Mutex-guarded: readers copy the
-// whole struct under the lock, so a configuration racing an operator call
-// is merely a question of which settings the call snapshots — never a
-// data race (the caveat the old non-atomic globals carried).
-std::mutex& DefaultMutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-ExecContext& DefaultStorage() {
-  static ExecContext context;
-  return context;
-}
-
-}  // namespace
 
 MorselOptions ExecContext::morsel_options() const {
   MorselOptions options;
@@ -36,65 +15,6 @@ JoinOptions ExecContext::join_options() const {
   options.morsel = morsel_options();
   options.partition_bits = join_partition_bits;
   return options;
-}
-
-ExecContext DefaultExecContext() {
-  std::lock_guard<std::mutex> lock(DefaultMutex());
-  return DefaultStorage();
-}
-
-void SetDefaultExecContext(const ExecContext& context) {
-  std::lock_guard<std::mutex> lock(DefaultMutex());
-  DefaultStorage() = context;
-}
-
-ScopedExecContext::ScopedExecContext(const ExecContext& context)
-    : saved_(DefaultExecContext()) {
-  SetDefaultExecContext(context);
-}
-
-ScopedExecContext::~ScopedExecContext() { SetDefaultExecContext(saved_); }
-
-// -- Legacy knob shims (single-threaded-setup convenience) --------------------
-
-MorselOptions DataPlaneMorselOptions() {
-  return DefaultExecContext().morsel_options();
-}
-
-void SetDataPlaneThreads(int threads) {
-  std::lock_guard<std::mutex> lock(DefaultMutex());
-  DefaultStorage().data_plane_threads = threads;
-}
-
-ScopedDataPlaneThreads::ScopedDataPlaneThreads(int threads) {
-  std::lock_guard<std::mutex> lock(DefaultMutex());
-  saved_ = DefaultStorage().data_plane_threads;
-  DefaultStorage().data_plane_threads = threads;
-}
-
-ScopedDataPlaneThreads::~ScopedDataPlaneThreads() {
-  std::lock_guard<std::mutex> lock(DefaultMutex());
-  DefaultStorage().data_plane_threads = saved_;
-}
-
-JoinOptions DataPlaneJoinOptions() {
-  return DefaultExecContext().join_options();
-}
-
-void SetJoinPartitionBits(int bits) {
-  std::lock_guard<std::mutex> lock(DefaultMutex());
-  DefaultStorage().join_partition_bits = bits;
-}
-
-ScopedJoinPartitionBits::ScopedJoinPartitionBits(int bits) {
-  std::lock_guard<std::mutex> lock(DefaultMutex());
-  saved_ = DefaultStorage().join_partition_bits;
-  DefaultStorage().join_partition_bits = bits;
-}
-
-ScopedJoinPartitionBits::~ScopedJoinPartitionBits() {
-  std::lock_guard<std::mutex> lock(DefaultMutex());
-  DefaultStorage().join_partition_bits = saved_;
 }
 
 }  // namespace arraydb::exec

@@ -2,18 +2,12 @@
 // operators and joins — worker threads, morsel grain, join partition bits,
 // and an optional cooperative yield gate.
 //
-// Before the serving layer, these settings lived in process-global mutable
-// knobs (SetDataPlaneThreads / SetJoinPartitionBits) that every operator
-// read per call; two concurrent sessions could not run with different
-// settings, and a configuration racing an in-flight join was a data race.
-// The context object retires that: sessions thread an ExecContext through
-// the operator and join entry points (exec/operators.h and exec/join.h
-// carry ExecContext overloads), so concurrent sessions are fully
-// independent. The legacy knobs survive as thin shims over one
-// process-default context, now mutex-guarded — safe to *read* from any
-// number of concurrent operator calls, but mutating the default remains a
-// single-threaded-setup affair (a session that needs its own settings
-// passes its own context instead of mutating the shared default).
+// Sessions thread an ExecContext through the operator and join entry
+// points (exec/operators.h and exec/join.h carry ExecContext overloads), so
+// concurrent sessions with different settings are fully independent. There
+// is no process-wide default to mutate: the overloads without a context run
+// with default-constructed MorselOptions / JoinOptions, which equal a
+// default-constructed ExecContext.
 
 #ifndef ARRAYDB_EXEC_EXEC_CONTEXT_H_
 #define ARRAYDB_EXEC_EXEC_CONTEXT_H_
@@ -46,29 +40,6 @@ struct ExecContext {
   /// The context expressed as operator / join options.
   MorselOptions morsel_options() const;
   JoinOptions join_options() const;
-};
-
-/// Snapshot of the process-default context (what the no-options operator
-/// overloads run with). Thread-safe.
-ExecContext DefaultExecContext();
-
-/// Replaces the process-default context. Thread-safe against concurrent
-/// DefaultExecContext readers, but configuration-time by convention:
-/// in-flight operators that already snapshotted the default keep their
-/// settings.
-void SetDefaultExecContext(const ExecContext& context);
-
-/// RAII override of the whole default context (tests and benches; the
-/// workload runner installs RunnerConfig::exec_context through this).
-class ScopedExecContext {
- public:
-  explicit ScopedExecContext(const ExecContext& context);
-  ~ScopedExecContext();
-  ScopedExecContext(const ScopedExecContext&) = delete;
-  ScopedExecContext& operator=(const ScopedExecContext&) = delete;
-
- private:
-  ExecContext saved_;
 };
 
 }  // namespace arraydb::exec

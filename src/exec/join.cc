@@ -14,10 +14,6 @@ namespace arraydb::exec {
 
 namespace {
 
-// The knob shims (DataPlaneJoinOptions, SetJoinPartitionBits,
-// ScopedJoinPartitionBits) live in exec_context.cc with the default
-// ExecContext they wrap.
-
 // Non-empty chunks in deterministic (lexicographic) order — the join work
 // domain on both sides. Synthetic metadata-only chunks carry no cells.
 std::vector<const array::Chunk*> NonEmptyChunks(const array::Array& array) {

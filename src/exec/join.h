@@ -43,31 +43,6 @@ struct JoinOptions {
   int partition_bits = kDefaultJoinPartitionBits;
 };
 
-/// Snapshot of the process-default context's join options — morsel
-/// settings plus partition bits. Equivalent to
-/// DefaultExecContext().join_options(); see exec/exec_context.h. The
-/// default context is mutex-guarded, so concurrent joins snapshotting it
-/// are race-free; concurrent sessions with different settings pass an
-/// explicit ExecContext instead of mutating the default.
-JoinOptions DataPlaneJoinOptions();
-
-/// Sets the default context's join partition-bit count. Thin shim over
-/// SetDefaultExecContext, kept for single-threaded setup (like
-/// SetDataPlaneThreads).
-void SetJoinPartitionBits(int bits);
-
-/// RAII override of the join partition bits (tests and benches).
-class ScopedJoinPartitionBits {
- public:
-  explicit ScopedJoinPartitionBits(int bits);
-  ~ScopedJoinPartitionBits();
-  ScopedJoinPartitionBits(const ScopedJoinPartitionBits&) = delete;
-  ScopedJoinPartitionBits& operator=(const ScopedJoinPartitionBits&) = delete;
-
- private:
-  int saved_;
-};
-
 /// Flat open-addressing set of uint64 keys: power-of-two slot array, linear
 /// probing, splitmix64-mixed hashing. Empty slots hold 0; a present zero
 /// key is tracked out of band. No node allocation, no per-key indirection —
@@ -107,7 +82,7 @@ class FlatKeySet {
 /// coordinate extents fit the 64-bit rank budget); otherwise falls back to
 /// internal::DimJoinCountBySet with identical semantics.
 int64_t DimJoinCount(const array::Array& a, const array::Array& b,
-                     const JoinOptions& options = DataPlaneJoinOptions());
+                     const JoinOptions& options = JoinOptions());
 
 /// Join benchmark (AIS): cells of `array` whose attribute `attr` value
 /// rounds (llround: nearest integer, ties away from zero) to a key in
@@ -115,7 +90,7 @@ int64_t DimJoinCount(const array::Array& a, const array::Array& b,
 /// values and values outside the int64 range never match.
 int64_t AttrJoinCount(const array::Array& array, int attr,
                       const std::unordered_set<int64_t>& keys,
-                      const JoinOptions& options = DataPlaneJoinOptions());
+                      const JoinOptions& options = JoinOptions());
 
 /// Integer join key of an attribute value: nearest integer, ties away from
 /// zero (std::llround). Returns false — the value can never match — for

@@ -10,10 +10,6 @@
 
 namespace arraydb::exec {
 
-// The knob shims (DataPlaneMorselOptions, SetDataPlaneThreads,
-// ScopedDataPlaneThreads) live in exec_context.cc with the default
-// ExecContext they wrap.
-
 void YieldPoint::Wait() const {
   if (depth_.load(std::memory_order_acquire) == 0) return;
   std::unique_lock<std::mutex> lock(mu_);

@@ -92,36 +92,12 @@ struct MorselOptions {
   const YieldPoint* yield = nullptr;
 };
 
-/// Snapshot of the process-default context's morsel options — what the
-/// no-options operator overloads run with. Equivalent to
-/// DefaultExecContext().morsel_options(); see exec/exec_context.h.
-MorselOptions DataPlaneMorselOptions();
-
-/// Sets the default context's data-plane thread count (0 = auto). Thin
-/// shim over SetDefaultExecContext, kept for single-threaded setup (as
-/// WorkloadRunner's config install); concurrent sessions that need their
-/// own settings pass an explicit ExecContext instead.
-void SetDataPlaneThreads(int threads);
-
-/// RAII override of the default context's data-plane thread count,
-/// restoring the previous value on destruction (tests and benches).
-class ScopedDataPlaneThreads {
- public:
-  explicit ScopedDataPlaneThreads(int threads);
-  ~ScopedDataPlaneThreads();
-  ScopedDataPlaneThreads(const ScopedDataPlaneThreads&) = delete;
-  ScopedDataPlaneThreads& operator=(const ScopedDataPlaneThreads&) = delete;
-
- private:
-  int saved_;
-};
-
 /// Half-open [begin, end) range of work units (cells, chunks, positions).
 using MorselRange = std::pair<int64_t, int64_t>;
 
 class MorselScheduler {
  public:
-  explicit MorselScheduler(MorselOptions options = DataPlaneMorselOptions());
+  explicit MorselScheduler(MorselOptions options = MorselOptions());
 
   /// Resolved worker count (>= 1).
   int threads() const { return threads_; }

@@ -77,8 +77,8 @@ class FilterBoxView {
 };
 
 // The scan/aggregate operators below execute morsel-parallel on
-// exec::MorselScheduler (threads from `morsel`; the default reads the
-// process data-plane knob, which starts at 1 = sequential). Results are
+// exec::MorselScheduler (threads from `morsel`; the default options run
+// sequentially on the calling thread). Results are
 // bit-identical at every thread count: morsel boundaries depend only on
 // the data and the grain, and partial states combine in fixed morsel
 // order (see src/exec/README.md).
@@ -89,7 +89,7 @@ class FilterBoxView {
 /// scanned linearly in columnar order with the SIMD predicate kernel.
 FilterBoxView FilterBoxSpans(
     const array::Array& array, const CellBox& box,
-    const MorselOptions& morsel = DataPlaneMorselOptions());
+    const MorselOptions& morsel = MorselOptions());
 
 /// Selection: all cells inside `box`, sorted by position. Thin adapter over
 /// FilterBoxSpans for callers that want value results.
@@ -100,7 +100,7 @@ std::vector<array::Cell> FilterBox(const array::Array& array,
 /// predicate kernel as FilterBoxSpans, with the mask reduced straight to a
 /// per-morsel count (no span construction).
 int64_t FilterBoxCount(const array::Array& array, const CellBox& box,
-                       const MorselOptions& morsel = DataPlaneMorselOptions());
+                       const MorselOptions& morsel = MorselOptions());
 
 /// Sort benchmark: the q-quantile (0 <= q <= 1) of attribute `attr` over
 /// all non-empty cells. Extreme quantiles are min/max kernel reductions;
@@ -108,7 +108,7 @@ int64_t FilterBoxCount(const array::Array& array, const CellBox& box,
 /// statistics with nth_element instead of a full sort.
 util::StatusOr<double> AttrQuantile(
     const array::Array& array, int attr, double q,
-    const MorselOptions& morsel = DataPlaneMorselOptions());
+    const MorselOptions& morsel = MorselOptions());
 
 // The join benchmarks (DimJoinCount / AttrJoinCount) moved to exec/join.h
 // — morsel-parallel radix-partitioned hash joins on Hilbert-rank keys,
@@ -121,7 +121,7 @@ util::StatusOr<double> AttrQuantile(
 /// deterministic and thread-count invariant.
 std::map<array::Coordinates, double> GroupBySum(
     const array::Array& array, const std::vector<int64_t>& bin, int attr,
-    const MorselOptions& morsel = DataPlaneMorselOptions());
+    const MorselOptions& morsel = MorselOptions());
 
 /// Complex projection benchmark: windowed average of `attr` in a Chebyshev
 /// radius around `pos` (partially overlapping windows yield smooth images).
@@ -134,7 +134,7 @@ util::StatusOr<double> WindowAverageAt(const array::Array& array, int attr,
 /// exactly one morsel, so the field is thread-count invariant.
 std::vector<std::pair<array::Coordinates, double>> WindowAverageAll(
     const array::Array& array, int attr, int64_t radius,
-    const MorselOptions& morsel = DataPlaneMorselOptions());
+    const MorselOptions& morsel = MorselOptions());
 
 /// Modeling benchmark (MODIS): Lloyd's k-means over arbitrary points.
 struct KMeansResult {
@@ -153,7 +153,7 @@ KMeansResult KMeans(const std::vector<std::vector<double>>& points, int k,
 /// selection input — and the result — is identical at every thread count.
 util::StatusOr<double> KnnAverageDistance(
     const array::Array& array, int k, int samples, uint64_t seed,
-    const MorselOptions& morsel = DataPlaneMorselOptions());
+    const MorselOptions& morsel = MorselOptions());
 
 /// Regridding: coarsens the array by integer `factors` per dimension,
 /// producing an array with attributes (sum of `attr`, cell count).

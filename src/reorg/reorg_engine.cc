@@ -396,11 +396,10 @@ util::StatusOr<IncrementStats> IncrementalReorgEngine::Step() {
     return failure;
   }
 
-  if (options_.validate_incremental) {
-    stats.only_to_new_nodes = slice.OnlyToNodesAtOrAbove(first_new_node_);
-    summary_.only_to_new_nodes =
-        summary_.only_to_new_nodes && stats.only_to_new_nodes;
-  }
+  // Re-check the Table-1 incremental property against this slice alone.
+  stats.only_to_new_nodes = slice.OnlyToNodesAtOrAbove(first_new_node_);
+  summary_.only_to_new_nodes =
+      summary_.only_to_new_nodes && stats.only_to_new_nodes;
   stats.minutes = base_minutes;
 
   if (auto status = cluster_->CommitIncrement(); !status.ok()) return status;

@@ -96,8 +96,6 @@ struct ReorgOptions {
   /// Worker threads for the simulated increment copy; 0 = auto
   /// (util::ResolveThreadCount).
   int copy_threads = 0;
-  /// Re-check the Table-1 incremental property per increment.
-  bool validate_incremental = true;
   /// Deterministic fault source consulted per transfer attempt (and for
   /// scheduled node deaths) during Step. Null — the default — disables
   /// injection entirely and keeps Step bit-identical to the fault-free
@@ -157,8 +155,8 @@ struct IncrementStats {
 /// Accounting for a whole reorganization.
 struct ReorgSummary {
   int increments = 0;
-  /// Whole-plan price from CostModel::ReorgMinutes — identical to what the
-  /// legacy atomic path charges, and invariant under increment sizing.
+  /// Whole-plan price from CostModel::ReorgMinutes — the price of the plan
+  /// applied atomically, and invariant under increment sizing.
   double work_minutes = 0.0;
   /// Sum of per-increment slice prices (includes the per-increment slicing
   /// tax; >= work_minutes for multi-increment plans).

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "core/elastic_engine.h"
-#include "exec/morsel.h"
 #include "reorg/bandwidth_arbiter.h"
 #include "reorg/reorg_engine.h"
 #include "telemetry/trace.h"
@@ -226,11 +225,6 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       config_.initial_nodes, capacity, config_.cost_params);
   const int ingest_threads = util::ResolveThreadCount(config_.ingest.threads);
   engine.set_ingest_threads(ingest_threads);
-  // Execution context: any real operator execution embedded in this run
-  // (the examples and benches that query the arrays they feed the runner)
-  // picks up the configured morsel parallelism and join partitioning
-  // through the process default; restored on return.
-  const exec::ScopedExecContext exec_scope(config_.exec_context);
   exec::QueryEngine query_engine(config_.engine_params);
 
   core::StaircaseConfig stair_cfg;
@@ -239,11 +233,13 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
   stair_cfg.plan_ahead = config_.staircase_plan_ahead;
   core::LeadingStaircase staircase(stair_cfg);
 
-  const bool paced =
-      config_.reorg.budget_policy != MigrationBudgetPolicy::kFixedDrain;
-  // Paced budgets spread a plan across cycles; that only makes sense when
-  // queries can run mid-reorg through the dual-residency view.
-  ARRAYDB_CHECK(!paced || config_.reorg.mode == ReorgMode::kOverlapped);
+  const MigrationPolicy policy = config_.reorg.policy;
+  // Paced policies spread a plan across cycles; every policy but kSerial
+  // keeps the routing epoch pinned through the query phase and earns the
+  // overlap credit.
+  const bool paced = policy == MigrationPolicy::kPaced ||
+                     policy == MigrationPolicy::kArbitrated;
+  const bool overlapped = policy != MigrationPolicy::kSerial;
 
   RunResult result;
   // Paced-migration state living across cycles: the engine (its routing
@@ -257,8 +253,7 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
   std::optional<reorg::BandwidthArbiter> arbiter;
   double cycle_budget_gb = 0.0;
   double plan_minutes_charged = 0.0;
-  reorg::OverlapWindowEstimator overlap_window(
-      config_.reorg.overlap_window_alpha);
+  reorg::OverlapWindowEstimator overlap_window;
   ServingPools serving_pools;
   // Summary totals already attributed to a cycle (charge_migration's
   // snapshot; reset when a plan begins).
@@ -284,7 +279,6 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
   // successor plan draws fresh fault fates; the virtual clock feeds node-
   // death schedules; the staged plan is kept so an abort can restage it.
   const bool faults_on = config_.fault.enabled;
-  ARRAYDB_CHECK(!faults_on || config_.reorg.mode != ReorgMode::kBlocking);
   std::optional<fault::FaultInjector> injector;
   if (faults_on) injector.emplace(config_.fault.plan);
   int plan_ordinal_base = 0;
@@ -389,23 +383,26 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
     // rollback restores the exact pre-reorg placement from the retained
     // source replicas — and restages the plan under a fresh fault ordinal,
     // up to FaultConfig::max_plan_restarts. Past that the reorganization is
-    // abandoned: the cluster keeps serving, just unbalanced. The first
-    // attempt runs on a migrator thread overlapped with the batch placement
-    // prewarm when asked (kOverlapped's structure); recovery reruns skip
-    // the prewarm, which already happened.
+    // abandoned: the cluster keeps serving, just unbalanced. When asked,
+    // the first attempt runs on a migrator thread overlapped with the batch
+    // placement prewarm (if the ingest prewarms at all); recovery reruns
+    // skip the prewarm, which already happened.
     const auto run_migration = [&](bool drain_all, bool overlap_prewarm) {
-      bool prewarmed = false;
+      bool prewarm = overlap_prewarm && ingest_threads > 1;
       for (;;) {
         util::Status status;
-        std::thread migrator([&background, &status, drain_all] {
+        const auto migrate = [&background, &status, drain_all] {
           status = drain_all ? background->StepAll()
                              : background->Step().status();
-        });
-        if (overlap_prewarm && !prewarmed && ingest_threads > 1) {
+        };
+        if (prewarm) {
+          std::thread migrator(migrate);
           engine.partitioner().PrewarmPlacement(batch, ingest_threads);
+          migrator.join();
+          prewarm = false;
+        } else {
+          migrate();
         }
-        prewarmed = true;
-        migrator.join();
         if (status.ok()) return;
         ARRAYDB_CHECK(faults_on);
         charge_migration();
@@ -463,70 +460,56 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
     }
 
     if (to_add > 0) {
-      if (config_.reorg.mode == ReorgMode::kBlocking) {
-        const auto reorg = engine.ScaleOut(to_add);
-        m.reorg_minutes = reorg.minutes;
-        m.moved_gb = reorg.moved_gb;
-        m.chunks_moved = reorg.chunks_moved;
-        m.reorg_only_to_new_nodes = reorg.only_to_new_nodes;
+      const auto prep = engine.PrepareScaleOut(to_add);
+      reorg::ReorgOptions opts;
+      opts.increment_gb = config_.reorg.increment_gb;
+      opts.copy_threads = ingest_threads;
+      if (faults_on) {
+        opts.injector = &*injector;
+        opts.retry = config_.fault.retry;
+        opts.increment_timeout_minutes =
+            config_.fault.increment_timeout_minutes;
+        opts.virtual_start_minutes = virtual_now;
+        opts.plan_ordinal_base = plan_ordinal_base;
+      }
+      if (paced) {
+        // Each increment is sized by the cycle grant the budget policy
+        // last computed (the arbiter's, or the fixed per-cycle budget).
+        opts.budget_fn = [&cycle_budget_gb](const reorg::BudgetRequest&) {
+          return cycle_budget_gb;
+        };
+      }
+      background.emplace(&engine.mutable_cluster(), &engine.cost_model(),
+                         opts);
+      const auto begun = background->Begin(prep.plan, prep.first_new_node);
+      ARRAYDB_CHECK(begun.ok());
+      active_plan = prep.plan;
+      active_first_new = prep.first_new_node;
+      plan_restarts = 0;
+      plan_minutes_charged = 0.0;
+      charged = {};
+      if (paced) {
+        reorg::ArbiterOptions arbiter_opts;
+        arbiter_opts.clamps = config_.reorg.arbitration;
+        arbiter_opts.plan_ahead_cycles = config_.staircase_plan_ahead;
+        if (policy == MigrationPolicy::kPaced) {
+          arbiter_opts.fixed_gb = config_.reorg.increment_gb;
+        }
+        arbiter.emplace(&engine.cost_model(), arbiter_opts);
+        arbiter->BeginPlan();
       } else {
-        const auto prep = engine.PrepareScaleOut(to_add);
-        reorg::ReorgOptions opts;
-        opts.increment_gb = config_.reorg.increment_gb;
-        opts.copy_threads = ingest_threads;
-        if (faults_on) {
-          opts.injector = &*injector;
-          opts.retry = config_.fault.retry;
-          opts.increment_timeout_minutes =
-              config_.fault.increment_timeout_minutes;
-          opts.virtual_start_minutes = virtual_now;
-          opts.plan_ordinal_base = plan_ordinal_base;
-        }
-        if (paced) {
-          // Each increment is sized by the cycle grant the budget policy
-          // last computed (the arbiter's, or the fixed per-cycle budget).
-          opts.budget_fn = [&cycle_budget_gb](const reorg::BudgetRequest&) {
-            return cycle_budget_gb;
-          };
-        }
-        background.emplace(&engine.mutable_cluster(), &engine.cost_model(),
-                           opts);
-        const auto begun =
-            background->Begin(prep.plan, prep.first_new_node);
-        ARRAYDB_CHECK(begun.ok());
-        active_plan = prep.plan;
-        active_first_new = prep.first_new_node;
-        plan_restarts = 0;
-        plan_minutes_charged = 0.0;
-        charged = {};
-        if (paced) {
-          reorg::ArbiterOptions arbiter_opts;
-          arbiter_opts.clamps = config_.reorg.arbitration;
-          arbiter_opts.plan_ahead_cycles = config_.staircase_plan_ahead;
-          if (config_.reorg.budget_policy ==
-              MigrationBudgetPolicy::kFixedPaced) {
-            arbiter_opts.fixed_gb = config_.reorg.increment_gb;
-          }
-          arbiter.emplace(&engine.cost_model(), arbiter_opts);
-          arbiter->BeginPlan();
-        } else if (config_.reorg.mode == ReorgMode::kIncremental) {
-          // Drain before the insert: same serialized schedule as blocking,
-          // but sliced, validated, and tracked per increment.
-          run_migration(/*drain_all=*/true, /*overlap_prewarm=*/false);
-        } else {
-          // kOverlapped: migrate on a background thread while this thread
-          // prewarms the batch's placement state. The two touch disjoint
-          // state (cluster vs. partitioner) and are each deterministic, so
-          // the overlap is free of ordering effects. The prewarm's rank memo
-          // makes IngestBatch's own prewarm a cache hit.
-          run_migration(/*drain_all=*/true, /*overlap_prewarm=*/true);
-        }
-        if (!paced && background.has_value()) {
+        // Drain the whole plan now. kOverlapped migrates on a background
+        // thread while this thread prewarms the batch's placement state:
+        // the two touch disjoint state (cluster vs. partitioner) and are
+        // each deterministic, so the overlap is free of ordering effects,
+        // and the prewarm's rank memo makes IngestBatch's own prewarm a
+        // cache hit.
+        run_migration(/*drain_all=*/true, /*overlap_prewarm=*/overlapped);
+        if (background.has_value()) {
           // Fully drained: the charge is exactly the plan's work_minutes
-          // (plus any fault-recovery overhead), same as the legacy direct
-          // summary read.
+          // (plus any fault-recovery overhead).
           charge_migration();
-          if (config_.reorg.mode == ReorgMode::kIncremental) {
+          if (!overlapped) {
             ARRAYDB_CHECK(background->Finish().ok());
             release_background();
           }
@@ -568,13 +551,12 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       if (background.has_value()) charge_migration();
     }
 
-    // Phase 2: ingest the batch. In kOverlapped mode with the legacy drain
-    // policy all increments have committed (placement decisions match the
-    // blocking schedule exactly) and only the routing epoch remains pinned
-    // for the query phase; under the paced policies the plan may still
-    // hold uncommitted moves, so the insert lands on a partially migrated
-    // cluster — placement consults authoritative owners, queries stay on
-    // the pinned dual-residency snapshot.
+    // Phase 2: ingest the batch. Under kSerial and kOverlapped all
+    // increments have committed (kOverlapped only keeps the routing epoch
+    // pinned for the query phase); under the paced policies the plan may
+    // still hold uncommitted moves, so the insert lands on a partially
+    // migrated cluster — placement consults authoritative owners, queries
+    // stay on the pinned dual-residency snapshot.
     const auto insert = engine.IngestBatch(batch);
     m.insert_minutes = insert.minutes;
     m.load_gb = engine.cluster().TotalGb();
@@ -634,7 +616,7 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       release_background();
     }
 
-    // Overlap credit: in kOverlapped mode the query workload executed during
+    // Overlap credit: outside kSerial the query workload executed during
     // the migration window, so the cycle's elapsed time only pays the longer
     // of the two. The credit comes from the migration minutes actually
     // executed this cycle (m.reorg_minutes is the executed share, not the
@@ -642,7 +624,7 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
     // paced across cycles. What the query window does not hide lands on the
     // ingest path: the stall metric.
     const double benchmark_minutes = m.spj_minutes + m.science_minutes;
-    if (config_.reorg.mode == ReorgMode::kOverlapped) {
+    if (overlapped) {
       m.overlap_saved_minutes = std::min(m.reorg_minutes, benchmark_minutes);
     }
     m.ingest_stall_minutes = m.reorg_minutes - m.overlap_saved_minutes;
@@ -651,7 +633,7 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
     overlap_window.Observe(benchmark_minutes);
 
     // Eq. 1: N_i * elapsed_i, accumulated in node hours (elapsed equals
-    // I_i + r_i + w_i outside kOverlapped).
+    // I_i + r_i + w_i under kSerial).
     result.cost_node_hours +=
         static_cast<double>(m.nodes_after) * m.elapsed_minutes / 60.0;
 

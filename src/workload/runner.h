@@ -3,23 +3,33 @@
 // then both benchmark suites — and records the metrics behind every figure
 // and table of §6.
 //
-// Reorganizations execute in one of three modes (ReorgMode): the legacy
-// atomic kBlocking path, kIncremental (bandwidth-budgeted increments via
-// reorg::IncrementalReorgEngine, drained before the insert), and kOverlapped
-// — migration increments run on a background thread overlapped with the
-// incoming batch's placement prewarm (the partitioner's rank memo makes the
-// subsequent re-derivation free), and the cycle's queries execute mid-reorg
-// through the dual-residency routing view, so in simulated time the query
-// workload overlaps the migration (elapsed = insert + max(reorg, queries)).
+// Every scale-out stages its MovePlan with ElasticEngine::PrepareScaleOut
+// and migrates it through reorg::IncrementalReorgEngine in budgeted
+// increments. The MigrationPolicy only chooses the per-cycle budget and
+// whether the routing epoch stays pinned through the query phase, with
+// queries routed through the dual-residency view (bit-identical to a
+// quiesced cluster). With I = insert, r = reorg and w = benchmark minutes:
 //
-// In kOverlapped mode the per-cycle migration budget comes from a
-// MigrationBudgetPolicy: kFixedDrain (legacy, whole plan in the scale-out
-// cycle), or the paced policies kFixedPaced/kArbitrated, which spread the
-// plan across cycles — the routing epoch stays pinned until the plan
-// drains, at the latest on the staircase plan-ahead deadline — and record
-// the migration_budget_gb / ingest_stall_minutes trajectories. kArbitrated
-// prices each cycle's budget through CostModel::ArbitrateBandwidth so
-// migration never starves the ingest (and vice versa).
+//   policy       budget per cycle          Finish runs          elapsed
+//   -----------  ------------------------  -------------------  ----------
+//   kSerial      whole plan, in fixed      after the drain,     I + r + w
+//                increment_gb slices       before the insert
+//   kOverlapped  whole plan, drained on a  after the queries    I + max(r,w)
+//                migrator thread behind    of the scale-out
+//                the batch prewarm         cycle
+//   kPaced       one increment_gb slice    after the queries    I + max(r,w)
+//                per cycle                 of the cycle that
+//                                          drains the plan
+//   kArbitrated  grant from                after the queries    I + max(r,w)
+//                CostModel::ArbitrateBand- of the cycle that
+//                width (BandwidthArbiter)  drains the plan
+//
+// The paced policies drain the remainder on the staircase plan-ahead
+// deadline, on the workload's last cycle, or when the next scale-out
+// arrives first (a forced drain), and record the migration_budget_gb /
+// ingest_stall_minutes trajectories. kArbitrated never starves the ingest
+// of bandwidth (and vice versa). The overlap credit (the r + w - max(r, w)
+// saved) is computed from the migration minutes executed in the cycle.
 
 #ifndef ARRAYDB_WORKLOAD_RUNNER_H_
 #define ARRAYDB_WORKLOAD_RUNNER_H_
@@ -34,7 +44,6 @@
 #include "core/partitioner_factory.h"
 #include "core/provisioner.h"
 #include "exec/engine.h"
-#include "exec/exec_context.h"
 #include "fault/fault.h"
 #include "reorg/bandwidth_arbiter.h"
 #include "reorg/reorg_engine.h"
@@ -52,37 +61,22 @@ enum class ScaleOutPolicy {
   kStaircase,
 };
 
-/// How a scale-out's MovePlan is realized.
-enum class ReorgMode {
-  /// Atomic Cluster::Apply; the whole cycle blocks on the transfer.
-  kBlocking,
-  /// Bandwidth-budgeted increments (src/reorg/), fully drained before the
-  /// insert. Same serialized cycle time as blocking; records the
-  /// per-increment migration trajectory.
-  kIncremental,
-  /// Increments run in the background: data movement overlaps the batch's
-  /// placement prewarm, and queries execute mid-reorg through the
-  /// dual-residency view. Query results are bit-identical to a quiesced
-  /// cluster; the cycle's elapsed time folds the query workload into the
-  /// migration window.
+/// How a scale-out's MovePlan is migrated (see the table above). Results
+/// are deterministic for every policy, thread count and increment size.
+enum class MigrationPolicy {
+  /// The whole plan drains before the insert, in fixed increment_gb
+  /// slices; the cycle pays insert + reorg + queries.
+  kSerial,
+  /// The whole plan drains on a migrator thread behind the batch's
+  /// placement prewarm; queries run on the pinned routing epoch, so the
+  /// cycle pays insert + max(reorg, queries).
   kOverlapped,
-};
-
-/// How the per-cycle migration byte budget is derived in the incremental
-/// modes (kIncremental/kOverlapped).
-enum class MigrationBudgetPolicy {
-  /// Legacy: the whole MovePlan drains within its scale-out cycle, sliced
-  /// into fixed reorg_increment_gb increments.
-  kFixedDrain,
-  /// Pace the plan across cycles — one fixed reorg_increment_gb increment
-  /// per cycle — force-draining the remainder on the staircase plan-ahead
-  /// deadline (or when an early scale-out needs the cluster quiesced).
-  /// Requires ReorgMode::kOverlapped.
-  kFixedPaced,
-  /// Pace the plan across cycles with per-cycle budgets from
-  /// cluster::CostModel::ArbitrateBandwidth (via reorg::BandwidthArbiter):
-  /// migration finishes just-in-time for the next staircase step without
-  /// starving the cycle's ingest. Requires ReorgMode::kOverlapped.
+  /// One fixed increment_gb slice per cycle; queries run on the pinned
+  /// epoch until the plan drains.
+  kPaced,
+  /// Per-cycle budgets from cluster::CostModel::ArbitrateBandwidth (via
+  /// reorg::BandwidthArbiter): migration finishes just in time for the
+  /// next staircase step without starving the cycle's ingest.
   kArbitrated,
 };
 
@@ -99,22 +93,13 @@ struct IngestConfig {
 
 /// Reorganization settings.
 struct ReorgConfig {
-  /// Reorganization execution mode; metrics and query results are
-  /// deterministic for every mode, thread count, and increment size.
-  ReorgMode mode = ReorgMode::kBlocking;
-  /// Per-cycle migration budget derivation for the incremental modes. The
-  /// paced policies require mode == kOverlapped.
-  MigrationBudgetPolicy budget_policy = MigrationBudgetPolicy::kFixedDrain;
-  /// Byte budget per migration increment (GB) for the fixed budget
-  /// policies. Defaults to the same constant as ReorgOptions.increment_gb
+  MigrationPolicy policy = MigrationPolicy::kSerial;
+  /// Byte budget per migration increment (GB) for kSerial, kOverlapped and
+  /// kPaced. Defaults to the same constant as ReorgOptions.increment_gb
   /// (reorg::kDefaultIncrementGb) and is forwarded explicitly, so the two
   /// cannot diverge silently.
   double increment_gb = reorg::kDefaultIncrementGb;
-  /// EWMA smoothing factor for the arbiter's query-overlap window estimate
-  /// (reorg::OverlapWindowEstimator). 1.0 reproduces the legacy
-  /// previous-cycle estimator bit for bit.
-  double overlap_window_alpha = reorg::OverlapWindowEstimator::kDefaultAlpha;
-  /// Floor/ceiling clamps for MigrationBudgetPolicy::kArbitrated (and the
+  /// Floor/ceiling clamps for MigrationPolicy::kArbitrated (and the
   /// serving scenario's three-way arbitration).
   cluster::ArbitrationClamps arbitration;
 };
@@ -149,8 +134,6 @@ struct ServingConfig {
 /// restore via the retained source replicas) and restaging the plan under a
 /// fresh fault ordinal. Queries keep flowing mid-fault through the
 /// dual-residency view and stay bit-identical to a quiesced cluster.
-/// Requires an incremental ReorgMode; kBlocking scale-outs bypass the
-/// injection hooks entirely.
 struct FaultConfig {
   bool enabled = false;
   /// Seeded fault schedule (rates, dilation, node deaths). The node-death
@@ -179,12 +162,6 @@ struct RunnerConfig {
   int staircase_samples = 4;   // s, for the staircase policy.
   int staircase_plan_ahead = 3;  // p, for the staircase policy.
   IngestConfig ingest;
-  /// Data-plane execution settings (operator threads, join partition bits,
-  /// morsel grain), installed as the process-default ExecContext for the
-  /// duration of Run() so operator work embedded in a workload run —
-  /// examples, benches — inherits it. Results are bit-identical at every
-  /// setting (morsel + join determinism contracts).
-  exec::ExecContext exec_context;
   ReorgConfig reorg;
   ServingConfig serving;
   FaultConfig fault;
@@ -230,8 +207,8 @@ struct CycleMetrics {
   double moved_gb = 0.0;
   int64_t chunks_moved = 0;
   bool reorg_only_to_new_nodes = true;
-  /// Migration increments committed this cycle (0 in blocking mode; depends
-  /// on reorg_increment_gb — the one schedule-dependent metric).
+  /// Migration increments committed this cycle (depends on increment_gb —
+  /// the one schedule-dependent metric).
   int reorg_increments = 0;
   /// Migration GB the budget policy granted this cycle (paced policies
   /// only; 0 when no migration was pending).
@@ -246,13 +223,13 @@ struct CycleMetrics {
   /// flight and the remainder was force-drained this cycle.
   bool reorg_forced_drain = false;
   /// Simulated minutes saved by overlapping queries with migration
-  /// (kOverlapped only): min(migration minutes actually executed this
+  /// (every policy but kSerial): min(migration minutes actually executed this
   /// cycle, benchmark minutes) — computed from the increments that ran,
   /// not the whole-plan price, so the credit matches the trajectory when
   /// migration is paced across cycles.
   double overlap_saved_minutes = 0.0;
   /// Wall time of the cycle: insert + reorg + benchmarks, minus the overlap
-  /// credit. Equals the serial sum outside kOverlapped.
+  /// credit. Equals the serial sum under kSerial.
   double elapsed_minutes = 0.0;
   // -- Fault/recovery metrics (zero unless FaultConfig::enabled) ----------
   int64_t faults_injected = 0;
@@ -303,8 +280,8 @@ struct RunResult {
   int64_t total_over_budget_increments = 0;
   /// Paced migrations force-drained by an early scale-out.
   int forced_drains = 0;
-  /// Sum of per-cycle elapsed times; equals total_workload_minutes() outside
-  /// kOverlapped, strictly below it when queries overlapped a migration.
+  /// Sum of per-cycle elapsed times; equals total_workload_minutes() under
+  /// kSerial, strictly below it when queries overlapped a migration.
   double total_elapsed_minutes = 0.0;
   /// Pooled serving-layer latency summaries across all cycles (counts are
   /// zero unless ServingConfig::enabled).

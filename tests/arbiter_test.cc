@@ -305,14 +305,13 @@ constexpr int64_t kMiB = 1024 * 1024;
 // The bench's ingest-heavy staircase setup, shrunk only in spirit: a
 // bandwidth-constrained cluster where migration and ingest actually
 // compete for link time.
-RunnerConfig HeavyStaircaseConfig(MigrationBudgetPolicy policy) {
+RunnerConfig HeavyStaircaseConfig(MigrationPolicy policy) {
   RunnerConfig cfg;
   cfg.partitioner = core::PartitionerKind::kHilbertCurve;
   cfg.policy = ScaleOutPolicy::kStaircase;
   cfg.initial_nodes = 2;
   cfg.max_nodes = 64;
-  cfg.reorg.mode = ReorgMode::kOverlapped;
-  cfg.reorg.budget_policy = policy;
+  cfg.reorg.policy = policy;
   cfg.cost_params.net_minutes_per_gb = 1.0;
   return cfg;
 }
@@ -326,7 +325,7 @@ AisWorkload HeavyAis() {
 TEST(ArbitratedRunnerTest, MigrationCompletesWithinThePlanAheadWindow) {
   const AisWorkload ais = HeavyAis();
   const RunnerConfig cfg =
-      HeavyStaircaseConfig(MigrationBudgetPolicy::kArbitrated);
+      HeavyStaircaseConfig(MigrationPolicy::kArbitrated);
   const auto result = WorkloadRunner(cfg).Run(ais);
 
   // Every cycle that executed migration lies within plan_ahead cycles of a
@@ -355,10 +354,10 @@ TEST(ArbitratedRunnerTest, MigrationCompletesWithinThePlanAheadWindow) {
 TEST(ArbitratedRunnerTest, ArbitrationReducesIngestStall) {
   const AisWorkload ais = HeavyAis();
   const auto fixed =
-      WorkloadRunner(HeavyStaircaseConfig(MigrationBudgetPolicy::kFixedDrain))
+      WorkloadRunner(HeavyStaircaseConfig(MigrationPolicy::kOverlapped))
           .Run(ais);
   const auto arbitrated =
-      WorkloadRunner(HeavyStaircaseConfig(MigrationBudgetPolicy::kArbitrated))
+      WorkloadRunner(HeavyStaircaseConfig(MigrationPolicy::kArbitrated))
           .Run(ais);
 
   // The acceptance property: lower ingest stall at identical total work.
@@ -379,7 +378,7 @@ TEST(ArbitratedRunnerTest, ArbitrationReducesIngestStall) {
 TEST(ArbitratedRunnerTest, PerCycleAccountingStaysConsistent) {
   const AisWorkload ais = HeavyAis();
   const auto result =
-      WorkloadRunner(HeavyStaircaseConfig(MigrationBudgetPolicy::kArbitrated))
+      WorkloadRunner(HeavyStaircaseConfig(MigrationPolicy::kArbitrated))
           .Run(ais);
   bool saw_budget = false;
   for (const auto& m : result.cycles) {
@@ -450,12 +449,11 @@ TEST(ArbitratedRunnerTest, PlanStartedOnTheFinalCycleDrainsWithTheRun) {
   cfg.initial_nodes = 2;
   cfg.nodes_per_scaleout = 2;
   cfg.max_nodes = 8;
-  cfg.reorg.mode = ReorgMode::kOverlapped;
   cfg.run_queries = false;  // Window = 0: pacing would stretch past the end.
 
-  cfg.reorg.budget_policy = MigrationBudgetPolicy::kFixedDrain;
+  cfg.reorg.policy = MigrationPolicy::kOverlapped;
   const auto drained = WorkloadRunner(cfg).Run(workload);
-  cfg.reorg.budget_policy = MigrationBudgetPolicy::kArbitrated;
+  cfg.reorg.policy = MigrationPolicy::kArbitrated;
   const auto arbitrated = WorkloadRunner(cfg).Run(workload);
 
   // The scale-out happened on the last cycle in both runs...
@@ -475,7 +473,7 @@ TEST(ArbitratedRunnerTest, DeterministicAcrossThreadCounts) {
   std::vector<RunResult> results;
   for (const int threads : {1, 4, 0}) {
     RunnerConfig cfg =
-        HeavyStaircaseConfig(MigrationBudgetPolicy::kArbitrated);
+        HeavyStaircaseConfig(MigrationPolicy::kArbitrated);
     cfg.ingest.threads = threads;
     results.push_back(WorkloadRunner(cfg).Run(ais));
   }

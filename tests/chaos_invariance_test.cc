@@ -6,6 +6,8 @@
 //   * the whole fault trajectory — retries, backoff, aborts, replans,
 //     telemetry counters included — is invariant under copy thread count
 //     and replays identically for the same seed.
+// The workload-runner legs repeat the query, abort and replay contracts
+// end to end under both kSerial and kOverlapped.
 // Runs under TSan in CI alongside the other invariance suites.
 
 #include <gtest/gtest.h>
@@ -287,26 +289,34 @@ TEST(ChaosInvarianceTest, NodeDeathReplanKeepsTheSweepInvariant) {
 namespace arraydb::workload {
 namespace {
 
-RunnerConfig ChaosBase() {
+RunnerConfig ChaosBase(MigrationPolicy policy) {
   RunnerConfig cfg;
   cfg.partitioner = core::PartitionerKind::kConsistentHash;
   cfg.policy = ScaleOutPolicy::kCapacityTrigger;
   cfg.initial_nodes = 2;
   cfg.nodes_per_scaleout = 2;
   cfg.max_nodes = 8;
-  cfg.reorg.mode = ReorgMode::kOverlapped;
+  cfg.reorg.policy = policy;
   return cfg;
 }
 
+// The runner sweep covers the drain-before-insert default and the
+// overlapped drain: faults are injected under either.
+// Seed and transient rate of a schedule that aborts nine times, rolls back
+// ~100 GB of committed increments, and still drains every plan.
+constexpr uint64_t kRecoverySeed = 3;
+constexpr double kRecoveryRate = 0.002;
+class RunnerChaosTest : public ::testing::TestWithParam<MigrationPolicy> {};
+
 // Slow-copy chaos never fails an increment, so the placement trajectory is
 // untouched and every query result must stay bit-identical to the
-// fault-free run — mid-fault queries route through the dual-residency view
-// exactly as before.
-TEST(RunnerChaosTest, SlowCopyFaultsLeaveQueryResultsBitIdentical) {
+// fault-free run under the same policy — mid-fault queries route through
+// the dual-residency view exactly as before.
+TEST_P(RunnerChaosTest, SlowCopyFaultsLeaveQueryResultsBitIdentical) {
   AisWorkload ais;
-  const auto clean = WorkloadRunner(ChaosBase()).Run(ais);
+  const auto clean = WorkloadRunner(ChaosBase(GetParam())).Run(ais);
 
-  RunnerConfig cfg = ChaosBase();
+  RunnerConfig cfg = ChaosBase(GetParam());
   cfg.fault.enabled = true;
   cfg.fault.plan.seed = 11;
   cfg.fault.plan.slow_copy_rate = 0.4;
@@ -340,9 +350,9 @@ TEST(RunnerChaosTest, SlowCopyFaultsLeaveQueryResultsBitIdentical) {
 // A hostile mix (retry exhaustion near-certain on wide slices) exercises the
 // abort → restage → abandon path end to end: the run must complete, serve
 // every query, and replay deterministically.
-TEST(RunnerChaosTest, HostileMixDegradesGracefullyAndReplays) {
+TEST_P(RunnerChaosTest, HostileMixDegradesGracefullyAndReplays) {
   AisWorkload ais;
-  RunnerConfig cfg = ChaosBase();
+  RunnerConfig cfg = ChaosBase(GetParam());
   cfg.fault.enabled = true;
   cfg.fault.plan.seed = 5;
   cfg.fault.plan.transient_failure_rate = 0.6;
@@ -378,6 +388,43 @@ TEST(RunnerChaosTest, HostileMixDegradesGracefullyAndReplays) {
   }
   EXPECT_TRUE(any_fault_cycle);
 }
+
+// Aborts that a restage recovers from: the rollback must restore the exact
+// pre-reorg placement, or the restaged plan would land the cluster
+// somewhere else. So once every plan has drained, balance and every query
+// result match the fault-free run under the same policy, cycle by cycle.
+TEST_P(RunnerChaosTest, RecoveredAbortsRestoreThePreReorgPlacement) {
+  AisWorkload ais;
+  const auto clean = WorkloadRunner(ChaosBase(GetParam())).Run(ais);
+
+  RunnerConfig cfg = ChaosBase(GetParam());
+  cfg.fault.enabled = true;
+  cfg.fault.plan.seed = kRecoverySeed;
+  cfg.fault.plan.transient_failure_rate = kRecoveryRate;
+  cfg.fault.max_plan_restarts = 8;
+  const auto recovered = WorkloadRunner(cfg).Run(ais);
+
+  EXPECT_GT(recovered.total_reorg_aborts, 0);
+  EXPECT_EQ(recovered.reorgs_abandoned, 0);
+  ASSERT_EQ(recovered.cycles.size(), clean.cycles.size());
+  double rolled_back_gb = 0.0;
+  for (size_t c = 0; c < clean.cycles.size(); ++c) {
+    rolled_back_gb += recovered.cycles[c].rolled_back_gb;
+    EXPECT_EQ(recovered.cycles[c].rsd, clean.cycles[c].rsd) << "cycle " << c;
+    EXPECT_EQ(recovered.cycles[c].query_minutes,
+              clean.cycles[c].query_minutes)
+        << "cycle " << c;
+  }
+  // Some committed increments really were rolled back.
+  EXPECT_GT(rolled_back_gb, 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, RunnerChaosTest,
+    testing::Values(MigrationPolicy::kSerial, MigrationPolicy::kOverlapped),
+    [](const testing::TestParamInfo<MigrationPolicy>& info) {
+      return info.param == MigrationPolicy::kSerial ? "Serial" : "Overlapped";
+    });
 
 }  // namespace
 }  // namespace arraydb::workload

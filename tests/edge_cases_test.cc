@@ -12,6 +12,7 @@
 #include "core/partitioner_factory.h"
 #include "core/provisioner.h"
 #include "exec/engine.h"
+#include "reorg/reorg_engine.h"
 #include "util/rng.h"
 
 namespace arraydb {
@@ -24,6 +25,18 @@ using array::ChunkInfo;
 using array::Coordinates;
 using array::DimensionDesc;
 using core::PartitionerKind;
+
+// Stages a scale-out and drains its plan through the incremental
+// reorganization engine — the runner's migration path.
+reorg::ReorgSummary ScaleOutAndDrain(core::ElasticEngine* engine, int nodes) {
+  const core::ScaleOutPrep prep = engine->PrepareScaleOut(nodes);
+  reorg::IncrementalReorgEngine reorg(&engine->mutable_cluster(),
+                                      &engine->cost_model());
+  EXPECT_TRUE(reorg.Begin(prep.plan, prep.first_new_node).ok());
+  EXPECT_TRUE(reorg.Drain().ok());
+  engine->RecordReorgMinutes(reorg.summary().work_minutes);
+  return reorg.summary();
+}
 
 ArraySchema Grid2D(int64_t side) {
   return ArraySchema("g",
@@ -65,7 +78,7 @@ TEST(EdgeCaseTest, ScaleOutOfEmptyClusterIsCheap) {
   for (const auto kind : core::AllPartitionerKinds()) {
     core::ElasticEngine engine(core::MakePartitioner(kind, schema, 2, 1.0),
                                2, 1.0);
-    const auto reorg = engine.ScaleOut(2);
+    const auto reorg = ScaleOutAndDrain(&engine, 2);
     EXPECT_EQ(reorg.chunks_moved, 0) << core::PartitionerKindName(kind);
     EXPECT_DOUBLE_EQ(reorg.moved_gb, 0.0);
   }
@@ -77,8 +90,8 @@ TEST(EdgeCaseTest, SingleChunkArraySurvivesScaleOuts) {
     core::ElasticEngine engine(core::MakePartitioner(kind, schema, 1, 1.0),
                                1, 1.0);
     engine.IngestBatch({ChunkInfo{{3, 3}, 100, 800}});
-    engine.ScaleOut(1);
-    engine.ScaleOut(2);
+    ScaleOutAndDrain(&engine, 1);
+    ScaleOutAndDrain(&engine, 2);
     EXPECT_EQ(engine.cluster().num_chunks(), 1);
     EXPECT_EQ(engine.partitioner().Locate({3, 3}),
               engine.cluster().OwnerOf({3, 3}))
@@ -107,7 +120,7 @@ TEST(EdgeCaseTest, FourDimensionalGrid) {
       batch.push_back(ChunkInfo{c, 10, 50000});
       engine.IngestBatch({batch.back()});
     }
-    const auto reorg = engine.ScaleOut(2);
+    const auto reorg = ScaleOutAndDrain(&engine, 2);
     if (engine.partitioner().IsIncremental()) {
       EXPECT_TRUE(reorg.only_to_new_nodes)
           << core::PartitionerKindName(kind);
@@ -139,7 +152,7 @@ TEST(EdgeCaseTest, ScaleFarBeyondTestbed) {
     }
     engine.IngestBatch(batch);
     for (int n = 2; n < 16; ++n) {
-      const auto reorg = engine.ScaleOut(1);
+      const auto reorg = ScaleOutAndDrain(&engine, 1);
       EXPECT_TRUE(reorg.only_to_new_nodes)
           << core::PartitionerKindName(kind) << " at " << n + 1 << " nodes";
     }

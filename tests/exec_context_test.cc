@@ -1,12 +1,9 @@
 // ExecContext suite: the explicit execution-settings object that retired
-// the process-global data-plane knobs. Covers the default-context
-// snapshot/restore machinery, the legacy shims (SetDataPlaneThreads /
-// SetJoinPartitionBits and their Scoped forms are views over the default
-// context), operator entry-point equivalence, the nested RunnerConfig
-// aliases, and — the reason join.h's old "not thread-safe against
-// concurrent joins" caveat is gone — concurrent joins running under
-// different contexts with results bit-identical to sequential execution.
-// Runs under the TSan CI job.
+// the process-global data-plane knobs. Covers the defaults, operator
+// entry-point equivalence, RunnerConfig value semantics, and — the reason
+// join.h's old "not thread-safe against concurrent joins" caveat is gone —
+// concurrent joins running under different contexts with results
+// bit-identical to sequential execution. Runs under the TSan CI job.
 
 #include <gtest/gtest.h>
 
@@ -58,48 +55,6 @@ TEST(ExecContextTest, MorselAndJoinOptionsCarryEverySetting) {
   EXPECT_EQ(join.morsel.threads, 3);
   EXPECT_EQ(join.morsel.grain_cells, 256);
   EXPECT_EQ(join.morsel.yield, &gate);
-}
-
-TEST(ExecContextTest, ScopedExecContextInstallsAndRestores) {
-  const ExecContext before = DefaultExecContext();
-  {
-    ExecContext override_context;
-    override_context.data_plane_threads = 7;
-    override_context.join_partition_bits = 2;
-    override_context.morsel_grain = 512;
-    const ScopedExecContext scope(override_context);
-    EXPECT_EQ(DefaultExecContext().data_plane_threads, 7);
-    EXPECT_EQ(DefaultExecContext().join_partition_bits, 2);
-    EXPECT_EQ(DefaultExecContext().morsel_grain, 512);
-    // The legacy accessors are views over the same default.
-    EXPECT_EQ(DataPlaneMorselOptions().threads, 7);
-    EXPECT_EQ(DataPlaneJoinOptions().partition_bits, 2);
-  }
-  EXPECT_EQ(DefaultExecContext().data_plane_threads,
-            before.data_plane_threads);
-  EXPECT_EQ(DefaultExecContext().join_partition_bits,
-            before.join_partition_bits);
-  EXPECT_EQ(DefaultExecContext().morsel_grain, before.morsel_grain);
-}
-
-TEST(ExecContextTest, LegacyShimsMutateOneFieldEach) {
-  const ExecContext before = DefaultExecContext();
-  {
-    const ScopedDataPlaneThreads threads(4);
-    EXPECT_EQ(DefaultExecContext().data_plane_threads, 4);
-    // Orthogonal fields are untouched.
-    EXPECT_EQ(DefaultExecContext().join_partition_bits,
-              before.join_partition_bits);
-    {
-      const ScopedJoinPartitionBits bits(3);
-      EXPECT_EQ(DefaultExecContext().join_partition_bits, 3);
-      EXPECT_EQ(DefaultExecContext().data_plane_threads, 4);
-    }
-    EXPECT_EQ(DefaultExecContext().join_partition_bits,
-              before.join_partition_bits);
-  }
-  EXPECT_EQ(DefaultExecContext().data_plane_threads,
-            before.data_plane_threads);
 }
 
 class ExecContextOperatorTest : public ::testing::Test {
@@ -189,12 +144,10 @@ TEST(RunnerConfigTest, CopiesAreIndependentValues) {
   workload::RunnerConfig original;
   original.ingest.threads = 7;
   original.reorg.increment_gb = 4.0;
-  original.exec_context.join_partition_bits = 5;
 
   workload::RunnerConfig copy = original;
   EXPECT_EQ(copy.ingest.threads, 7);
   EXPECT_DOUBLE_EQ(copy.reorg.increment_gb, 4.0);
-  EXPECT_EQ(copy.exec_context.join_partition_bits, 5);
 
   // Mutating the copy must not touch the original.
   copy.ingest.threads = 2;
@@ -206,9 +159,9 @@ TEST(RunnerConfigTest, CopiesAreIndependentValues) {
   // Same for assignment.
   workload::RunnerConfig assigned;
   assigned = original;
-  assigned.exec_context.data_plane_threads = 6;
-  EXPECT_EQ(original.exec_context.data_plane_threads, 1);
-  EXPECT_EQ(assigned.exec_context.data_plane_threads, 6);
+  assigned.ingest.threads = 6;
+  EXPECT_EQ(original.ingest.threads, 7);
+  EXPECT_EQ(assigned.ingest.threads, 6);
 }
 
 }  // namespace

@@ -283,18 +283,5 @@ TEST(FlatKeySetTest, ReserveSizesForTheLoadFactor) {
   }
 }
 
-// -- Knobs -------------------------------------------------------------------
-
-TEST(JoinKnobTest, PartitionBitsScopeAndRestore) {
-  const int before = DataPlaneJoinOptions().partition_bits;
-  {
-    ScopedJoinPartitionBits scoped(9);
-    EXPECT_EQ(DataPlaneJoinOptions().partition_bits, 9);
-    SetJoinPartitionBits(2);
-    EXPECT_EQ(DataPlaneJoinOptions().partition_bits, 2);
-  }
-  EXPECT_EQ(DataPlaneJoinOptions().partition_bits, before);
-}
-
 }  // namespace
 }  // namespace arraydb::exec

@@ -30,7 +30,6 @@ EXPECTED_VIOLATIONS = {
     "r1_violating.cc": {"R1": 3},
     "r2_violating.cc": {"R2": 4},
     "r3_violating.cc": {"R3": 4},
-    "r4_violating.cc": {"R4": 4},
     "r5_violating.cc": {"R5": 3},
     "w0_unknown_waiver.cc": {"W0": 1, "R1": 1},
 }
@@ -39,7 +38,6 @@ CONFORMING = [
     "r1_conforming.cc",
     "r2_conforming.cc",
     "r3_conforming.cc",
-    "r4_conforming.cc",
     "r5_conforming.cc",
 ]
 

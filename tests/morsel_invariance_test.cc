@@ -188,17 +188,6 @@ TEST(MorselSchedulerTest, ReduceCombinesInMorselOrderAtEveryThreadCount) {
   }
 }
 
-TEST(MorselSchedulerTest, DataPlaneKnobScopesAndRestores) {
-  const int before = DataPlaneMorselOptions().threads;
-  {
-    ScopedDataPlaneThreads scoped(7);
-    EXPECT_EQ(DataPlaneMorselOptions().threads, 7);
-    SetDataPlaneThreads(3);
-    EXPECT_EQ(DataPlaneMorselOptions().threads, 3);
-  }
-  EXPECT_EQ(DataPlaneMorselOptions().threads, before);
-}
-
 TEST(CellSpanSliceTest, ForEachSliceReassemblesTheGlobalOrder) {
   const Array modis = workload::MakeSmallModisBand(/*days=*/2, /*seed=*/5);
   const array::CellSpanView view(modis);

@@ -21,6 +21,7 @@
 #include "cluster/cluster.h"
 #include "core/elastic_engine.h"
 #include "core/partitioner_factory.h"
+#include "reorg/reorg_engine.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/units.h"
@@ -36,6 +37,18 @@ using array::Coordinates;
 using array::DimensionDesc;
 
 enum class Skew { kUniform, kZipf };
+
+// Stages a scale-out and drains its plan through the incremental
+// reorganization engine — the runner's migration path.
+reorg::ReorgSummary ScaleOutAndDrain(ElasticEngine* engine, int nodes) {
+  const ScaleOutPrep prep = engine->PrepareScaleOut(nodes);
+  reorg::IncrementalReorgEngine reorg(&engine->mutable_cluster(),
+                                      &engine->cost_model());
+  EXPECT_TRUE(reorg.Begin(prep.plan, prep.first_new_node).ok());
+  EXPECT_TRUE(reorg.Drain().ok());
+  engine->RecordReorgMinutes(reorg.summary().work_minutes);
+  return reorg.summary();
+}
 
 struct SweepCase {
   PartitionerKind kind;
@@ -117,7 +130,7 @@ TEST_P(PartitionerSweep, InvariantsAcrossLifecycle) {
     }
 
     if (t == 3 || t == 7) {
-      const auto reorg = engine.ScaleOut(2);
+      const auto reorg = ScaleOutAndDrain(&engine, 2);
       if (engine.partitioner().IsIncremental()) {
         EXPECT_TRUE(reorg.only_to_new_nodes)
             << engine.partitioner().name()
@@ -153,7 +166,7 @@ TEST_P(PartitionerSweep, PlacementIsDeterministic) {
     util::Rng rng(7);
     for (int64_t t = 0; t < 6; ++t) {
       engine.IngestBatch(MakeBatch(t, param.skew, rng));
-      if (t == 2) engine.ScaleOut(2);
+      if (t == 2) ScaleOutAndDrain(&engine, 2);
     }
     if (run == 0) {
       for (const auto& rec : engine.cluster().AllChunks()) {
@@ -179,7 +192,7 @@ TEST_P(PartitionerSweep, ScaleOutUsesNewNodes) {
   for (int64_t t = 0; t < 4; ++t) {
     engine.IngestBatch(MakeBatch(t, param.skew, rng, 4));
   }
-  engine.ScaleOut(2);
+  ScaleOutAndDrain(&engine, 2);
   for (int64_t t = 4; t < 12; ++t) {
     engine.IngestBatch(MakeBatch(t, param.skew, rng, 4));
   }
@@ -222,7 +235,7 @@ TEST(PartitionerComparison, FineGrainedSchemesBalanceBetterUnderSkew) {
     util::Rng rng(123);
     for (int64_t t = 0; t < 12; ++t) {
       engine.IngestBatch(MakeBatch(t, Skew::kZipf, rng));
-      if (t == 3 || t == 7) engine.ScaleOut(2);
+      if (t == 3 || t == 7) ScaleOutAndDrain(&engine, 2);
     }
     rsd[kind] = engine.cluster().LoadRsd();
   }
@@ -249,7 +262,7 @@ TEST(PartitionerComparison, SkewAwareSplittersReduceMaxLoad) {
       engine.IngestBatch(MakeBatch(t, Skew::kZipf, rng));
     }
     const double max_before = util::Max(engine.cluster().NodeLoadsGb());
-    engine.ScaleOut(2);
+    ScaleOutAndDrain(&engine, 2);
     const double max_after = util::Max(engine.cluster().NodeLoadsGb());
     EXPECT_LT(max_after, max_before)
         << PartitionerKindName(kind)

@@ -19,14 +19,14 @@
 namespace arraydb::workload {
 namespace {
 
-RunnerConfig BaseConfig(core::PartitionerKind kind, ReorgMode mode) {
+RunnerConfig BaseConfig(core::PartitionerKind kind, MigrationPolicy policy) {
   RunnerConfig cfg;
   cfg.partitioner = kind;
   cfg.policy = ScaleOutPolicy::kCapacityTrigger;
   cfg.initial_nodes = 2;
   cfg.nodes_per_scaleout = 2;
   cfg.max_nodes = 8;
-  cfg.reorg.mode = mode;
+  cfg.reorg.policy = policy;
   return cfg;
 }
 
@@ -133,7 +133,8 @@ TEST(ReorgEquivalenceTest, MidReorgQueriesMatchQuiescedCluster) {
 TEST(ReorgEquivalenceTest, OverlappedRunDeterministicAcrossThreadsAndSizes) {
   AisWorkload ais;
   RunnerConfig base =
-      BaseConfig(core::PartitionerKind::kHilbertCurve, ReorgMode::kOverlapped);
+      BaseConfig(core::PartitionerKind::kHilbertCurve,
+                 MigrationPolicy::kOverlapped);
   std::vector<RunResult> results;
   // Thread counts (including 0 = auto) and increment budgets from
   // many-small-slices to one-shot must not change any metric but the
@@ -165,75 +166,71 @@ TEST(ReorgEquivalenceTest, OverlappedRunDeterministicAcrossThreadsAndSizes) {
             results.back().total_reorg_increments);
 }
 
-TEST(ReorgEquivalenceTest, OverlappedMatchesBlockingPlacementAndWork) {
+TEST(ReorgEquivalenceTest, OverlappedMatchesSerialPlacementAndWork) {
   // Placement-side metrics (inserts, reorg work, balance, trajectory) are
-  // identical across modes; only the query phase observes a different — but
-  // internally consistent — routing epoch.
+  // identical across policies; only the query phase observes a different —
+  // but internally consistent — routing epoch.
   AisWorkload ais;
-  const auto blocking =
-      WorkloadRunner(
-          BaseConfig(core::PartitionerKind::kHilbertCurve, ReorgMode::kBlocking))
-          .Run(ais);
-  const auto incremental =
+  const auto serial =
       WorkloadRunner(BaseConfig(core::PartitionerKind::kHilbertCurve,
-                                ReorgMode::kIncremental))
+                                MigrationPolicy::kSerial))
           .Run(ais);
   const auto overlapped =
       WorkloadRunner(BaseConfig(core::PartitionerKind::kHilbertCurve,
-                                ReorgMode::kOverlapped))
+                                MigrationPolicy::kOverlapped))
           .Run(ais);
-  for (const auto* r : {&incremental, &overlapped}) {
-    ASSERT_EQ(r->cycles.size(), blocking.cycles.size());
-    EXPECT_EQ(r->total_insert_minutes, blocking.total_insert_minutes);
-    EXPECT_EQ(r->total_reorg_minutes, blocking.total_reorg_minutes);
-    EXPECT_EQ(r->final_nodes, blocking.final_nodes);
-    EXPECT_EQ(r->mean_rsd, blocking.mean_rsd);
-    for (size_t i = 0; i < r->cycles.size(); ++i) {
-      EXPECT_EQ(r->cycles[i].moved_gb, blocking.cycles[i].moved_gb);
-      EXPECT_EQ(r->cycles[i].chunks_moved, blocking.cycles[i].chunks_moved);
-      EXPECT_EQ(r->cycles[i].load_gb, blocking.cycles[i].load_gb);
-      EXPECT_EQ(r->cycles[i].rsd, blocking.cycles[i].rsd);
-      EXPECT_TRUE(r->cycles[i].reorg_only_to_new_nodes);
-    }
+  ASSERT_EQ(overlapped.cycles.size(), serial.cycles.size());
+  EXPECT_EQ(overlapped.total_insert_minutes, serial.total_insert_minutes);
+  EXPECT_EQ(overlapped.total_reorg_minutes, serial.total_reorg_minutes);
+  EXPECT_EQ(overlapped.final_nodes, serial.final_nodes);
+  EXPECT_EQ(overlapped.mean_rsd, serial.mean_rsd);
+  for (size_t i = 0; i < overlapped.cycles.size(); ++i) {
+    const CycleMetrics& o = overlapped.cycles[i];
+    EXPECT_EQ(o.moved_gb, serial.cycles[i].moved_gb);
+    EXPECT_EQ(o.chunks_moved, serial.cycles[i].chunks_moved);
+    EXPECT_EQ(o.load_gb, serial.cycles[i].load_gb);
+    EXPECT_EQ(o.rsd, serial.cycles[i].rsd);
+    EXPECT_TRUE(o.reorg_only_to_new_nodes);
+    EXPECT_TRUE(serial.cycles[i].reorg_only_to_new_nodes);
   }
-  // Incremental mode keeps the serial schedule; overlap buys elapsed time.
+  // kSerial keeps the serial schedule; overlap buys elapsed time.
   // (NEAR, not EQ: the totals are accumulated in different summation
   // orders.)
-  EXPECT_NEAR(incremental.total_elapsed_minutes,
-              incremental.total_workload_minutes(), 1e-9);
+  EXPECT_NEAR(serial.total_elapsed_minutes, serial.total_workload_minutes(),
+              1e-9);
   EXPECT_LT(overlapped.total_elapsed_minutes,
-            blocking.total_workload_minutes());
+            serial.total_workload_minutes());
   EXPECT_GT(overlapped.total_overlap_saved_minutes, 0.0);
   EXPECT_NEAR(overlapped.total_elapsed_minutes,
               overlapped.total_workload_minutes() -
                   overlapped.total_overlap_saved_minutes,
               1e-9);
-  // The moved-GB trajectory is mode-independent.
-  EXPECT_EQ(overlapped.MovedGbTrajectory(), blocking.MovedGbTrajectory());
+  // The moved-GB trajectory is policy-independent.
+  EXPECT_EQ(overlapped.MovedGbTrajectory(), serial.MovedGbTrajectory());
 }
 
 TEST(ReorgEquivalenceTest, EmptyPlanWorkloadsRunOverlapped) {
   // Append never moves data on scale-out: the overlapped machinery must
   // degrade to a clean no-op (empty MovePlan edge case).
   ModisWorkload modis;
-  const auto blocking =
+  const auto serial =
       WorkloadRunner(
-          BaseConfig(core::PartitionerKind::kAppend, ReorgMode::kBlocking))
+          BaseConfig(core::PartitionerKind::kAppend, MigrationPolicy::kSerial))
           .Run(modis);
   const auto overlapped =
-      WorkloadRunner(
-          BaseConfig(core::PartitionerKind::kAppend, ReorgMode::kOverlapped))
+      WorkloadRunner(BaseConfig(core::PartitionerKind::kAppend,
+                                MigrationPolicy::kOverlapped))
           .Run(modis);
-  ASSERT_EQ(overlapped.cycles.size(), blocking.cycles.size());
+  ASSERT_EQ(overlapped.cycles.size(), serial.cycles.size());
   EXPECT_EQ(overlapped.total_reorg_increments, 0);
   EXPECT_EQ(overlapped.total_overlap_saved_minutes, 0.0);
   EXPECT_NEAR(overlapped.total_elapsed_minutes,
-              blocking.total_workload_minutes(), 1e-9);
+              serial.total_workload_minutes(), 1e-9);
   for (size_t i = 0; i < overlapped.cycles.size(); ++i) {
     EXPECT_EQ(overlapped.cycles[i].chunks_moved, 0);
-    EXPECT_EQ(overlapped.cycles[i].spj_minutes, blocking.cycles[i].spj_minutes);
+    EXPECT_EQ(overlapped.cycles[i].spj_minutes, serial.cycles[i].spj_minutes);
     EXPECT_EQ(overlapped.cycles[i].science_minutes,
-              blocking.cycles[i].science_minutes);
+              serial.cycles[i].science_minutes);
   }
 }
 

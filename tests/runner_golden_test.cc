@@ -152,8 +152,7 @@ struct GoldenCase {
   int64_t increments;
   Dataset dataset;
   core::PartitionerKind partitioner;
-  ReorgMode mode;
-  MigrationBudgetPolicy budget = MigrationBudgetPolicy::kFixedDrain;
+  MigrationPolicy migration;
   ScaleOutPolicy policy = ScaleOutPolicy::kCapacityTrigger;
   bool faults = false;
   bool serving = false;
@@ -168,8 +167,7 @@ RunnerConfig ConfigFor(const GoldenCase& c) {
   cfg.max_nodes = 8;
   // Two threads: the migration overlaps the batch placement prewarm.
   cfg.ingest.threads = 2;
-  cfg.reorg.mode = c.mode;
-  cfg.reorg.budget_policy = c.budget;
+  cfg.reorg.policy = c.migration;
   if (c.faults) {
     cfg.fault.enabled = true;
     cfg.fault.plan.seed = 13;
@@ -184,41 +182,44 @@ RunnerConfig ConfigFor(const GoldenCase& c) {
 
 using D = Dataset;
 using P = core::PartitionerKind;
-using M = ReorgMode;
-using B = MigrationBudgetPolicy;
+using M = MigrationPolicy;
 
+// The "blocking" rows pinned the retired atomic Cluster::Apply path, the
+// "incremental" rows the drain-before-insert one; both now run kSerial
+// with unchanged digests. Only the blocking rows' increment count moved,
+// from 0 to the engine's.
 const GoldenCase kCases[] = {
-    {"blocking/ais/hilbert", 0x7cdb829ea33a6193, 0,
-     D::kAis, P::kHilbertCurve, M::kBlocking},
-    {"blocking/modis/kdtree", 0x63be1f840e6b9b37, 0,
-     D::kModis, P::kKdTree, M::kBlocking},
+    {"blocking/ais/hilbert", 0x7cdb829ea33a6193, 21,
+     D::kAis, P::kHilbertCurve, M::kSerial},
+    {"blocking/modis/kdtree", 0x63be1f840e6b9b37, 40,
+     D::kModis, P::kKdTree, M::kSerial},
     {"incremental/ais/hilbert", 0x7cdb829ea33a6193, 21,
-     D::kAis, P::kHilbertCurve, M::kIncremental},
+     D::kAis, P::kHilbertCurve, M::kSerial},
     {"incremental/modis/kdtree", 0x63be1f840e6b9b37, 40,
-     D::kModis, P::kKdTree, M::kIncremental},
+     D::kModis, P::kKdTree, M::kSerial},
     {"overlapped/ais/hilbert", 0xa5d195a6a6289525, 21,
      D::kAis, P::kHilbertCurve, M::kOverlapped},
     {"overlapped/modis/kdtree", 0xea2d3419c34a4aff, 40,
      D::kModis, P::kKdTree, M::kOverlapped},
     {"paced/ais/hilbert", 0x498bc383ef1b6c76, 9,
-     D::kAis, P::kHilbertCurve, M::kOverlapped, B::kFixedPaced},
+     D::kAis, P::kHilbertCurve, M::kPaced},
     {"paced/modis/kdtree", 0xf84cb945516bc50f, 8,
-     D::kModis, P::kKdTree, M::kOverlapped, B::kFixedPaced},
+     D::kModis, P::kKdTree, M::kPaced},
     {"arbitrated/ais/hilbert", 0xfa722ffa1bf23ff9, 4,
-     D::kAis, P::kHilbertCurve, M::kOverlapped, B::kArbitrated},
+     D::kAis, P::kHilbertCurve, M::kArbitrated},
     {"arbitrated/modis/kdtree", 0x5ebe26c51e9c0ef8, 6,
-     D::kModis, P::kKdTree, M::kOverlapped, B::kArbitrated},
+     D::kModis, P::kKdTree, M::kArbitrated},
     // Append never moves data: every plan is empty.
     {"blocking/modis/append", 0xab31d8e3e59564c5, 0,
-     D::kModis, P::kAppend, M::kBlocking},
+     D::kModis, P::kAppend, M::kSerial},
     // Transient failures, slow copies, retries, two aborts and one abandoned
     // plan.
     {"faults/ais/hilbert", 0x76fd48daa141cf00, 20,
-     D::kAis, P::kHilbertCurve, M::kIncremental, B::kFixedDrain,
-     ScaleOutPolicy::kCapacityTrigger, /*faults=*/true},
+     D::kAis, P::kHilbertCurve, M::kSerial, ScaleOutPolicy::kCapacityTrigger,
+     /*faults=*/true},
     {"serving/ais/hilbert", 0x2d1bca9ce7b03640, 6,
-     D::kAis, P::kHilbertCurve, M::kOverlapped, B::kArbitrated,
-     ScaleOutPolicy::kStaircase, /*faults=*/false, /*serving=*/true},
+     D::kAis, P::kHilbertCurve, M::kArbitrated, ScaleOutPolicy::kStaircase,
+     /*faults=*/false, /*serving=*/true},
 };
 
 TEST(RunnerGoldenTest, EveryMetricMatchesItsPinnedFingerprint) {

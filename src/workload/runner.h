@@ -6,9 +6,9 @@
 // Every scale-out stages its MovePlan with ElasticEngine::PrepareScaleOut
 // and migrates it through reorg::IncrementalReorgEngine in budgeted
 // increments. The MigrationPolicy only chooses the per-cycle budget and
-// whether the routing epoch stays pinned through the query phase, with
-// queries routed through the dual-residency view (bit-identical to a
-// quiesced cluster). With I = insert, r = reorg and w = benchmark minutes:
+// whether the routing epoch stays pinned through the query phase (queries
+// then route through the dual-residency view, bit-identical to a quiesced
+// cluster). With I = insert, r = reorg and w = benchmark minutes:
 //
 //   policy       budget per cycle          Finish runs          elapsed
 //   -----------  ------------------------  -------------------  ----------
@@ -20,15 +20,16 @@
 //   kPaced       one increment_gb slice    after the queries    I + max(r,w)
 //                per cycle                 of the cycle that
 //                                          drains the plan
-//   kArbitrated  grant from                after the queries    I + max(r,w)
-//                CostModel::ArbitrateBand- of the cycle that
-//                width (BandwidthArbiter)  drains the plan
+//   kArbitrated  the arbiter's grant       after the queries    I + max(r,w)
+//                (see below)               of the cycle that
+//                                          drains the plan
 //
 // The paced policies drain the remainder on the staircase plan-ahead
 // deadline, on the workload's last cycle, or when the next scale-out
 // arrives first (a forced drain), and record the migration_budget_gb /
-// ingest_stall_minutes trajectories. kArbitrated never starves the ingest
-// of bandwidth (and vice versa). The overlap credit (the r + w - max(r, w)
+// ingest_stall_minutes trajectories. kArbitrated sizes each cycle's grant
+// through reorg::BandwidthArbiter (CostModel::ArbitrateBandwidth), so
+// migration never starves the ingest of bandwidth (and vice versa). The overlap credit (the r + w - max(r, w)
 // saved) is computed from the migration minutes executed in the cycle.
 
 #ifndef ARRAYDB_WORKLOAD_RUNNER_H_

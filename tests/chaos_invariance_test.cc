@@ -302,10 +302,6 @@ RunnerConfig ChaosBase(MigrationPolicy policy) {
 
 // The runner sweep covers the drain-before-insert default and the
 // overlapped drain: faults are injected under either.
-// Seed and transient rate of a schedule that aborts nine times, rolls back
-// ~100 GB of committed increments, and still drains every plan.
-constexpr uint64_t kRecoverySeed = 3;
-constexpr double kRecoveryRate = 0.002;
 class RunnerChaosTest : public ::testing::TestWithParam<MigrationPolicy> {};
 
 // Slow-copy chaos never fails an increment, so the placement trajectory is
@@ -393,14 +389,16 @@ TEST_P(RunnerChaosTest, HostileMixDegradesGracefullyAndReplays) {
 // pre-reorg placement, or the restaged plan would land the cluster
 // somewhere else. So once every plan has drained, balance and every query
 // result match the fault-free run under the same policy, cycle by cycle.
+// The schedule (seed 3, transient rate 0.002) aborts nine times, rolls back
+// ~100 GB of committed increments, and still drains every plan.
 TEST_P(RunnerChaosTest, RecoveredAbortsRestoreThePreReorgPlacement) {
   AisWorkload ais;
   const auto clean = WorkloadRunner(ChaosBase(GetParam())).Run(ais);
 
   RunnerConfig cfg = ChaosBase(GetParam());
   cfg.fault.enabled = true;
-  cfg.fault.plan.seed = kRecoverySeed;
-  cfg.fault.plan.transient_failure_rate = kRecoveryRate;
+  cfg.fault.plan.seed = 3;
+  cfg.fault.plan.transient_failure_rate = 0.002;
   cfg.fault.max_plan_restarts = 8;
   const auto recovered = WorkloadRunner(cfg).Run(ais);
 

@@ -37,6 +37,13 @@ TEST(ExecContextTest, DefaultsMatchTheKnobDefaults) {
   const JoinOptions join = context.join_options();
   EXPECT_EQ(join.partition_bits, kDefaultJoinPartitionBits);
   EXPECT_EQ(join.morsel.threads, 1);
+
+  // The overloads without a context run with the default options, which
+  // must equal the default context's.
+  EXPECT_EQ(MorselOptions().threads, morsel.threads);
+  EXPECT_EQ(MorselOptions().grain_cells, morsel.grain_cells);
+  EXPECT_EQ(JoinOptions().partition_bits, join.partition_bits);
+  EXPECT_EQ(JoinOptions().morsel.threads, join.morsel.threads);
 }
 
 TEST(ExecContextTest, MorselAndJoinOptionsCarryEverySetting) {

@@ -37,31 +37,82 @@ util::Status Cluster::PlaceChunk(const array::Coordinates& coords,
         util::StrFormat("placement on unknown node %d", node));
   }
   if (bytes < 0) return util::InvalidArgument("negative chunk size");
-  if (chunk_map_.contains(coords)) {
+  const uint64_t hash = array::CoordinatesHash()(coords);
+  if (FindId(coords, hash) != kNoChunk) {
     return util::AlreadyExists("chunk exists (no-overwrite storage): " +
                                array::CoordinatesToString(coords));
   }
-  chunk_map_.emplace(coords, ChunkRecord{coords, bytes, node});
+  ARRAYDB_CHECK_LT(records_.size(), size_t{kNoChunk});
+  const auto id = static_cast<uint32_t>(records_.size());
+  records_.push_back(Record{coords, bytes, node});
+  IndexInsert(id, hash);
+  // Time-major ingest appends past the last chunk; anything else shifts the
+  // ids after its lexicographic position.
+  auto pos = ordered_ids_.end();
+  if (!ordered_ids_.empty() && coords < records_[ordered_ids_.back()].coords) {
+    pos = std::lower_bound(ordered_ids_.begin(), ordered_ids_.end(), coords,
+                           [this](uint32_t other, const array::Coordinates& c) {
+                             return records_[other].coords < c;
+                           });
+  }
+  ordered_ids_.insert(pos, id);
   node_bytes_[static_cast<size_t>(node)] += bytes;
   node_chunks_[static_cast<size_t>(node)] += 1;
   total_bytes_ += bytes;
   return util::Status::Ok();
 }
 
+uint32_t Cluster::FindId(const array::Coordinates& coords,
+                         uint64_t hash) const {
+  if (index_.empty()) return kNoChunk;
+  const size_t mask = index_.size() - 1;
+  const uint64_t tag = hash >> 32;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const uint64_t slot = index_[i];
+    if (slot == kEmptySlot) return kNoChunk;
+    const auto id = static_cast<uint32_t>(slot);
+    if ((slot >> 32) == tag && records_[id].coords == coords) return id;
+  }
+}
+
+const Cluster::Record* Cluster::Find(const array::Coordinates& coords) const {
+  const uint32_t id = FindId(coords, array::CoordinatesHash()(coords));
+  return id == kNoChunk ? nullptr : &records_[id];
+}
+
+Cluster::Record* Cluster::Find(const array::Coordinates& coords) {
+  return const_cast<Record*>(std::as_const(*this).Find(coords));
+}
+
+void Cluster::IndexInsert(uint32_t id, uint64_t hash) {
+  const auto place = [this](uint32_t slot_id, uint64_t h) {
+    const size_t mask = index_.size() - 1;
+    size_t i = h & mask;
+    while (index_[i] != kEmptySlot) i = (i + 1) & mask;
+    index_[i] = (h >> 32) << 32 | slot_id;
+  };
+  if (2 * (static_cast<size_t>(id) + 1) > index_.size()) {
+    index_.assign(std::max<size_t>(16, 2 * index_.size()), kEmptySlot);
+    for (uint32_t old = 0; old < id; ++old) {
+      place(old, array::CoordinatesHash()(records_[old].coords));
+    }
+  }
+  place(id, hash);
+}
+
 util::Status Cluster::ValidatePlan(const MovePlan& plan) const {
   for (const auto& m : plan.moves()) {
-    const auto it = chunk_map_.find(m.coords);
-    if (it == chunk_map_.end()) {
+    const Record* rec = Find(m.coords);
+    if (rec == nullptr) {
       return util::NotFound("move of unknown chunk " +
                             array::CoordinatesToString(m.coords));
     }
-    if (it->second.node != m.from) {
+    if (rec->node != m.from) {
       return util::FailedPrecondition(util::StrFormat(
           "move of %s claims owner %d but cluster records %d",
-          array::CoordinatesToString(m.coords).c_str(), m.from,
-          it->second.node));
+          array::CoordinatesToString(m.coords).c_str(), m.from, rec->node));
     }
-    if (it->second.bytes != m.bytes) {
+    if (rec->bytes != m.bytes) {
       return util::FailedPrecondition("move byte count mismatch for " +
                                       array::CoordinatesToString(m.coords));
     }
@@ -80,15 +131,16 @@ util::Status Cluster::Apply(const MovePlan& plan) {
   }
   // Validate the whole plan before mutating anything.
   if (auto status = ValidatePlan(plan); !status.ok()) return status;
-  for (const auto& m : plan.moves()) {
-    auto& rec = chunk_map_.at(m.coords);
-    node_bytes_[static_cast<size_t>(rec.node)] -= rec.bytes;
-    node_chunks_[static_cast<size_t>(rec.node)] -= 1;
-    rec.node = m.to;
-    node_bytes_[static_cast<size_t>(m.to)] += rec.bytes;
-    node_chunks_[static_cast<size_t>(m.to)] += 1;
-  }
+  for (const auto& m : plan.moves()) Reassign(*Find(m.coords), m.to);
   return util::Status::Ok();
+}
+
+void Cluster::Reassign(Record& rec, NodeId to) {
+  node_bytes_[static_cast<size_t>(rec.node)] -= rec.bytes;
+  node_chunks_[static_cast<size_t>(rec.node)] -= 1;
+  rec.node = to;
+  node_bytes_[static_cast<size_t>(to)] += rec.bytes;
+  node_chunks_[static_cast<size_t>(to)] += 1;
 }
 
 util::Status Cluster::BeginApply(const MovePlan& plan) {
@@ -101,12 +153,8 @@ util::Status Cluster::BeginApply(const MovePlan& plan) {
   pending_moves_ = plan.moves();
   pending_cursor_ = 0;
   in_flight_end_ = 0;
-  source_replicas_.reserve(pending_moves_.size());
-  for (const auto& m : pending_moves_) {
-    // A plan never names the same chunk twice (validated owners would
-    // mismatch); record each source residency.
-    source_replicas_.emplace(m.coords, m.from);
-  }
+  // Retain each planned chunk's source residency for routing.
+  for (const auto& m : pending_moves_) Find(m.coords)->source_replica = m.from;
   return util::Status::Ok();
 }
 
@@ -141,12 +189,7 @@ util::Status Cluster::CommitIncrement() {
   }
   for (size_t i = pending_cursor_; i < in_flight_end_; ++i) {
     const auto& m = pending_moves_[i];
-    auto& rec = chunk_map_.at(m.coords);
-    node_bytes_[static_cast<size_t>(rec.node)] -= rec.bytes;
-    node_chunks_[static_cast<size_t>(rec.node)] -= 1;
-    rec.node = m.to;
-    node_bytes_[static_cast<size_t>(m.to)] += rec.bytes;
-    node_chunks_[static_cast<size_t>(m.to)] += 1;
+    Reassign(*Find(m.coords), m.to);
   }
   pending_cursor_ = in_flight_end_;
   ++reorg_epoch_;
@@ -161,20 +204,21 @@ util::Status Cluster::FinishApply() {
     return util::FailedPrecondition(
         "reorganization has uncommitted moves");
   }
-  pending_moves_.clear();
-  pending_cursor_ = 0;
-  in_flight_end_ = 0;
-  source_replicas_.clear();
-  ++reorg_epoch_;
+  ReleaseReorg();
   return util::Status::Ok();
 }
 
 void Cluster::AbortReorg() {
-  if (!reorg_active()) return;
+  if (reorg_active()) ReleaseReorg();
+}
+
+void Cluster::ReleaseReorg() {
+  for (const auto& m : pending_moves_) {
+    Find(m.coords)->source_replica = kInvalidNode;
+  }
   pending_moves_.clear();
   pending_cursor_ = 0;
   in_flight_end_ = 0;
-  source_replicas_.clear();
   ++reorg_epoch_;
 }
 
@@ -189,18 +233,9 @@ util::Status Cluster::RollbackReorg() {
   // is a metadata flip, not a data transfer.
   for (size_t i = 0; i < pending_cursor_; ++i) {
     const auto& m = pending_moves_[i];
-    auto& rec = chunk_map_.at(m.coords);
-    node_bytes_[static_cast<size_t>(rec.node)] -= rec.bytes;
-    node_chunks_[static_cast<size_t>(rec.node)] -= 1;
-    rec.node = m.from;
-    node_bytes_[static_cast<size_t>(m.from)] += rec.bytes;
-    node_chunks_[static_cast<size_t>(m.from)] += 1;
+    Reassign(*Find(m.coords), m.from);
   }
-  pending_moves_.clear();
-  pending_cursor_ = 0;
-  in_flight_end_ = 0;
-  source_replicas_.clear();
-  ++reorg_epoch_;
+  ReleaseReorg();
   return util::Status::Ok();
 }
 
@@ -270,12 +305,7 @@ util::StatusOr<Cluster::RerouteStats> Cluster::RerouteDeadDestination(
       // Revert the committed flip onto the retained source replica and
       // re-stage the move (after the surviving pending moves, preserving
       // their order) toward the new destination.
-      auto& rec = chunk_map_.at(m.coords);
-      node_bytes_[static_cast<size_t>(rec.node)] -= rec.bytes;
-      node_chunks_[static_cast<size_t>(rec.node)] -= 1;
-      rec.node = m.from;
-      node_bytes_[static_cast<size_t>(m.from)] += rec.bytes;
-      node_chunks_[static_cast<size_t>(m.from)] += 1;
+      Reassign(*Find(m.coords), m.from);
       stats.reverted_committed += 1;
       stats.reverted_bytes += m.bytes;
       restaged.push_back(m);
@@ -296,37 +326,34 @@ util::StatusOr<Cluster::RerouteStats> Cluster::RerouteDeadDestination(
 }
 
 NodeId Cluster::SourceReplicaOf(const array::Coordinates& coords) const {
-  const auto it = source_replicas_.find(coords);
-  return it == source_replicas_.end() ? kInvalidNode : it->second;
+  const Record* rec = Find(coords);
+  return rec == nullptr ? kInvalidNode : rec->source_replica;
 }
 
 bool Cluster::Lookup(const array::Coordinates& coords, NodeId* node,
                      int64_t* bytes) const {
-  const auto it = chunk_map_.find(coords);
-  if (it == chunk_map_.end()) return false;
-  *node = it->second.node;
-  *bytes = it->second.bytes;
+  const Record* rec = Find(coords);
+  if (rec == nullptr) return false;
+  *node = rec->node;
+  *bytes = rec->bytes;
   return true;
 }
 
 void Cluster::ForEachChunk(
+    const array::Coordinates& lo, const array::Coordinates& hi,
     const std::function<void(const array::Coordinates&, NodeId, int64_t)>& fn)
     const {
-  // Sorted enumeration: iterating chunk_map_ directly would leak hash
-  // order into every caller's visit sequence (cost merges, placement
-  // planners, tests that record visit order).
-  for (const ChunkRecord& rec : AllChunks()) {
-    fn(rec.coords, rec.node, rec.bytes);
-  }
+  VisitBox(lo, hi,
+           [&fn](const Record& rec) { fn(rec.coords, rec.node, rec.bytes); });
 }
 
 NodeId Cluster::OwnerOf(const array::Coordinates& coords) const {
-  const auto it = chunk_map_.find(coords);
-  return it == chunk_map_.end() ? kInvalidNode : it->second.node;
+  const Record* rec = Find(coords);
+  return rec == nullptr ? kInvalidNode : rec->node;
 }
 
 bool Cluster::Contains(const array::Coordinates& coords) const {
-  return chunk_map_.contains(coords);
+  return Find(coords) != nullptr;
 }
 
 int64_t Cluster::NodeBytes(NodeId node) const {
@@ -361,26 +388,22 @@ int64_t Cluster::NodeChunkCount(NodeId node) const {
 
 std::vector<ChunkRecord> Cluster::ChunksOnNode(NodeId node) const {
   std::vector<ChunkRecord> out;
-  // arraydb-lint: ordered-extract -- copied out, then sorted below.
-  for (const auto& [coords, rec] : chunk_map_) {
-    if (rec.node == node) out.push_back(rec);
+  for (const uint32_t id : ordered_ids_) {
+    const Record& rec = records_[id];
+    if (rec.node == node) {
+      out.push_back(ChunkRecord{rec.coords, rec.bytes, node});
+    }
   }
-  std::sort(out.begin(), out.end(),
-            [](const ChunkRecord& a, const ChunkRecord& b) {
-              return array::CoordinatesLess(a.coords, b.coords);
-            });
   return out;
 }
 
 std::vector<ChunkRecord> Cluster::AllChunks() const {
   std::vector<ChunkRecord> out;
-  out.reserve(chunk_map_.size());
-  // arraydb-lint: ordered-extract -- copied out, then sorted below.
-  for (const auto& [coords, rec] : chunk_map_) out.push_back(rec);
-  std::sort(out.begin(), out.end(),
-            [](const ChunkRecord& a, const ChunkRecord& b) {
-              return array::CoordinatesLess(a.coords, b.coords);
-            });
+  out.reserve(ordered_ids_.size());
+  for (const uint32_t id : ordered_ids_) {
+    const Record& rec = records_[id];
+    out.push_back(ChunkRecord{rec.coords, rec.bytes, rec.node});
+  }
   return out;
 }
 

@@ -16,13 +16,32 @@
 // query-routing snapshot (SourceReplicaOf, consumed by
 // reorg::DualResidencyView) pins reads to that source residency so results
 // are independent of how far the migration has progressed.
+//
+// Placement table. Records live in a slab in insertion order; a record's
+// id is its slab index and never changes, because chunks are never removed.
+// Two structures index the slab by id:
+//   * an open-addressing hash index from coordinates to id (each slot holds
+//     the id plus 32 bits of the hash, so no coordinate vector is stored
+//     twice) serving Lookup, OwnerOf, Contains and plan validation;
+//   * the ids in lexicographic coordinate order, serving every enumeration
+//     (ForEachChunk's box walk, AllChunks, ChunksOnNode) without a sort.
+// The retained source replica of an active reorganization is a field of
+// the record: set for every planned chunk at BeginApply and cleared at
+// FinishApply, AbortReorg and RollbackReorg. The structures refer to
+// records by id rather than by pointer, so a copied Cluster is independent.
+//
+// PlaceChunk costs one hash probe plus a binary search and a shift of the
+// ordered ids after the insertion point. Arrays grow in time order along
+// dimension 0 (every workload ingests time-major), so new chunks land at or
+// near the tail and the shift is short; a chunk older than everything
+// stored shifts the whole id vector.
 
 #ifndef ARRAYDB_CLUSTER_CLUSTER_H_
 #define ARRAYDB_CLUSTER_CLUSTER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "array/chunk.h"
@@ -30,6 +49,10 @@
 #include "cluster/placement_view.h"
 #include "cluster/transfer.h"
 #include "util/status.h"
+
+namespace arraydb::reorg {
+class DualResidencyView;
+}  // namespace arraydb::reorg
 
 namespace arraydb::cluster {
 
@@ -57,7 +80,8 @@ class Cluster : public PlacementView {
   NodeId AddNodes(int k);
 
   /// Records a brand-new chunk on `node`. Fails on duplicate coordinates
-  /// (no-overwrite storage) or an unknown node.
+  /// (no-overwrite storage) or an unknown node. O(log n) plus a shift of
+  /// the ordered ids after the insertion point (see the file comment).
   util::Status PlaceChunk(const array::Coordinates& coords, int64_t bytes,
                           NodeId node);
 
@@ -181,13 +205,14 @@ class Cluster : public PlacementView {
   bool Lookup(const array::Coordinates& coords, NodeId* node,
               int64_t* bytes) const override;
   void ForEachChunk(
+      const array::Coordinates& lo, const array::Coordinates& hi,
       const std::function<void(const array::Coordinates&, NodeId, int64_t)>&
           fn) const override;
 
   /// True if a chunk with these coordinates is stored.
   bool Contains(const array::Coordinates& coords) const;
 
-  int64_t num_chunks() const { return static_cast<int64_t>(chunk_map_.size()); }
+  int64_t num_chunks() const { return static_cast<int64_t>(records_.size()); }
 
   /// Stored bytes on one node.
   int64_t NodeBytes(NodeId node) const;
@@ -209,36 +234,92 @@ class Cluster : public PlacementView {
   /// All chunk records on one node, in deterministic (lexicographic) order.
   std::vector<ChunkRecord> ChunksOnNode(NodeId node) const;
 
-  /// All chunk records, in deterministic order.
+  /// All chunk records, in lexicographic coordinate order.
   std::vector<ChunkRecord> AllChunks() const;
 
-  /// Unordered placement map for fast scans.
-  const std::unordered_map<array::Coordinates, ChunkRecord,
-                           array::CoordinatesHash>&
-  chunk_map() const {
-    return chunk_map_;
-  }
-
  private:
+  // The dual-residency routing view reads the source replica from the same
+  // record it finds the chunk in: one probe per lookup, none per visit.
+  friend class reorg::DualResidencyView;
+
+  // One slab entry: the public record plus the retained source replica.
+  struct Record {
+    array::Coordinates coords;
+    int64_t bytes = 0;
+    NodeId node = kInvalidNode;
+    // Source node of the read replica retained while the active
+    // reorganization covers this chunk; kInvalidNode otherwise.
+    NodeId source_replica = kInvalidNode;
+  };
+
+  static constexpr uint32_t kNoChunk = UINT32_MAX;
+
+  // Id of the chunk at `coords` (whose CoordinatesHash is `hash`), or
+  // kNoChunk.
+  uint32_t FindId(const array::Coordinates& coords, uint64_t hash) const;
+  const Record* Find(const array::Coordinates& coords) const;
+  Record* Find(const array::Coordinates& coords);
+  // Adds `id` to the hash index, growing it to keep the load at most 1/2.
+  void IndexInsert(uint32_t id, uint64_t hash);
+
+  // Invokes `fn(record)` for every record inside the box [lo, hi], in
+  // lexicographic order; the contract is PlacementView::ForEachChunk's.
+  template <typename Fn>
+  void VisitBox(const array::Coordinates& lo, const array::Coordinates& hi,
+                Fn&& fn) const;
+
+  // Flips `rec` to `to`, moving its bytes in the per-node accounting.
+  void Reassign(Record& rec, NodeId to);
+  // Clears the retained source replicas and the staging state, and advances
+  // the routing epoch.
+  void ReleaseReorg();
+
   util::Status ValidatePlan(const MovePlan& plan) const;
 
   double node_capacity_gb_;
   std::vector<int64_t> node_bytes_;
   std::vector<int64_t> node_chunks_;
-  std::unordered_map<array::Coordinates, ChunkRecord, array::CoordinatesHash>
-      chunk_map_;
   int64_t total_bytes_ = 0;
 
+  // The placement table (see the file comment): the slab, the ids in
+  // lexicographic order, and the hash index, whose slots hold
+  // (hash >> 32) << 32 | id, or kEmptySlot.
+  static constexpr uint64_t kEmptySlot = UINT64_MAX;
+  std::vector<Record> records_;
+  std::vector<uint32_t> ordered_ids_;
+  std::vector<uint64_t> index_;
+
   // Incremental-reorg staging: the plan's moves in order, a cursor to the
-  // first uncommitted move, the in-flight slice [pending_cursor_,
-  // in_flight_end_), and the retained source replicas for routing.
+  // first uncommitted move, and the in-flight slice [pending_cursor_,
+  // in_flight_end_).
   std::vector<ChunkMove> pending_moves_;
   size_t pending_cursor_ = 0;
   size_t in_flight_end_ = 0;
-  std::unordered_map<array::Coordinates, NodeId, array::CoordinatesHash>
-      source_replicas_;
   uint64_t reorg_epoch_ = 0;
 };
+
+template <typename Fn>
+void Cluster::VisitBox(const array::Coordinates& lo,
+                       const array::Coordinates& hi, Fn&& fn) const {
+  auto it = std::lower_bound(
+      ordered_ids_.begin(), ordered_ids_.end(), lo,
+      [this](uint32_t id, const array::Coordinates& key) {
+        return records_[id].coords < key;
+      });
+  for (; it != ordered_ids_.end(); ++it) {
+    const Record& rec = records_[*it];
+    const array::Coordinates& c = rec.coords;
+    if (!hi.empty() && !c.empty() && c[0] > hi[0]) break;
+    bool inside = true;
+    for (size_t d = 0; d < lo.size() && d < c.size() && inside; ++d) {
+      inside = c[d] >= lo[d];
+    }
+    for (size_t d = 0; d < hi.size() && d < c.size() && inside; ++d) {
+      inside = c[d] <= hi[d];
+    }
+    if (inside) fn(rec);
+  }
+}
 
 }  // namespace arraydb::cluster
 

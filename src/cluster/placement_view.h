@@ -33,10 +33,20 @@ class PlacementView {
   virtual bool Lookup(const array::Coordinates& coords, NodeId* node,
                       int64_t* bytes) const = 0;
 
-  /// Invokes `fn(coords, node, bytes)` for every stored chunk with its
-  /// routed owner. Iteration order is unspecified; callers needing
-  /// determinism must sort. References are valid only during the call.
+  /// Invokes `fn(coords, node, bytes)` with the routed owner of every
+  /// stored chunk inside the inclusive box [lo, hi]: chunk c is inside when
+  /// lo[d] <= c[d] <= hi[d] for every dimension d a bound has an entry for.
+  /// A bound constrains only the leading dimensions it lists, so an empty
+  /// bound leaves its side open and `ForEachChunk({}, {}, fn)` visits every
+  /// chunk. Chunks are visited in lexicographic coordinate order, the order
+  /// every deterministic caller (cost merges, placement planners) relies
+  /// on. The walk starts at the first chunk not below `lo` and stops once
+  /// dimension 0 passes hi[0], so a box over the newest time steps of a
+  /// time-major array costs its own chunks, not the whole placement. An
+  /// inverted box (some lo[d] > hi[d]) visits nothing. References are valid
+  /// only during the call.
   virtual void ForEachChunk(
+      const array::Coordinates& lo, const array::Coordinates& hi,
       const std::function<void(const array::Coordinates&, NodeId, int64_t)>&
           fn) const = 0;
 };

@@ -48,14 +48,9 @@ cluster::MovePlan ConsistentHashPartitioner::PlanScaleOut(
   for (NodeId n = old_node_count; n < cluster.num_nodes(); ++n) {
     InsertNode(n);
   }
-  cluster::MovePlan plan;
-  for (const auto& rec : cluster.AllChunks()) {
-    const NodeId target = OwnerOfHash(ChunkHash(rec.coords));
-    if (target != rec.node) {
-      plan.Add(cluster::ChunkMove{rec.coords, rec.bytes, rec.node, target});
-    }
-  }
-  return plan;
+  return PlanRelocations(cluster, [this](const array::Coordinates& coords) {
+    return OwnerOfHash(ChunkHash(coords));
+  });
 }
 
 NodeId ConsistentHashPartitioner::Locate(

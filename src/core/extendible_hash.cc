@@ -54,10 +54,11 @@ cluster::MovePlan ExtendibleHashPartitioner::PlanScaleOut(
   // so that consecutive splits in one scale-out see each other's effect.
   auto entry_bytes = [&]() {
     std::vector<int64_t> bytes(directory_.size(), 0);
-    // arraydb-lint: order-insensitive -- exact integer sums per slot.
-    for (const auto& [coords, rec] : cluster.chunk_map()) {
-      bytes[ChunkHash(coords) & DirMask()] += rec.bytes;
-    }
+    cluster.ForEachChunk({}, {},
+                         [&](const array::Coordinates& coords, NodeId,
+                             int64_t chunk_bytes) {
+                           bytes[ChunkHash(coords) & DirMask()] += chunk_bytes;
+                         });
     return bytes;
   };
   std::vector<int64_t> bytes_per_entry = entry_bytes();
@@ -132,14 +133,9 @@ cluster::MovePlan ExtendibleHashPartitioner::PlanScaleOut(
   }
   num_nodes_ = new_count;
 
-  cluster::MovePlan plan;
-  for (const auto& rec : cluster.AllChunks()) {
-    const NodeId target = Locate(rec.coords);
-    if (target != rec.node) {
-      plan.Add(cluster::ChunkMove{rec.coords, rec.bytes, rec.node, target});
-    }
-  }
-  return plan;
+  return PlanRelocations(cluster, [this](const array::Coordinates& coords) {
+    return Locate(coords);
+  });
 }
 
 NodeId ExtendibleHashPartitioner::Locate(

@@ -117,15 +117,15 @@ cluster::MovePlan HilbertPartitioner::PlanScaleOut(
     int64_t bytes;
   };
   std::vector<Entry> entries;
-  entries.reserve(cluster.chunk_map().size());
+  entries.reserve(static_cast<size_t>(cluster.num_chunks()));
   std::vector<int64_t> load(static_cast<size_t>(new_count), 0);
-  // arraydb-lint: ordered-extract order-insensitive -- entries are sorted
-  // by unique rank below; loads are exact integer sums.
-  for (const auto& [coords, rec] : cluster.chunk_map()) {
-    const uint64_t rank = RankOf(coords);
-    entries.push_back(Entry{rank, rec.bytes});
-    load[static_cast<size_t>(OwnerOfRank(rank))] += rec.bytes;
-  }
+  cluster.ForEachChunk({}, {},
+                       [&](const array::Coordinates& coords, NodeId,
+                           int64_t bytes) {
+                         const uint64_t rank = RankOf(coords);
+                         entries.push_back(Entry{rank, bytes});
+                         load[static_cast<size_t>(OwnerOfRank(rank))] += bytes;
+                       });
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) { return a.rank < b.rank; });
 
@@ -190,14 +190,9 @@ cluster::MovePlan HilbertPartitioner::PlanScaleOut(
     load[static_cast<size_t>(new_node)] += moved;
   }
 
-  cluster::MovePlan plan;
-  for (const auto& rec : cluster.AllChunks()) {
-    const NodeId target = OwnerOfRank(RankOf(rec.coords));
-    if (target != rec.node) {
-      plan.Add(cluster::ChunkMove{rec.coords, rec.bytes, rec.node, target});
-    }
-  }
-  return plan;
+  return PlanRelocations(cluster, [this](const array::Coordinates& coords) {
+    return OwnerOfRank(RankOf(coords));
+  });
 }
 
 NodeId HilbertPartitioner::Locate(

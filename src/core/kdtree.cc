@@ -156,18 +156,18 @@ cluster::MovePlan KdTreePartitioner::PlanScaleOut(
     std::vector<int64_t> load(static_cast<size_t>(new_node), 0);
     std::vector<std::vector<ProjectedChunk>> contents(
         static_cast<size_t>(new_node));
-    // arraydb-lint: ordered-extract order-insensitive -- the victim's
-    // contents are value-sorted before splitting; loads are integer sums.
-    for (const auto& [coords, rec] : cluster.chunk_map()) {
-      array::Coordinates projected = projection_.Project(coords);
-      const NodeId owner = LeafOf(projected)->host;
-      ARRAYDB_CHECK_GE(owner, 0);
-      if (owner < new_node) {
-        load[static_cast<size_t>(owner)] += rec.bytes;
-        contents[static_cast<size_t>(owner)].emplace_back(
-            std::move(projected), rec.bytes);
-      }
-    }
+    cluster.ForEachChunk(
+        {}, {},
+        [&](const array::Coordinates& coords, NodeId, int64_t bytes) {
+          array::Coordinates projected = projection_.Project(coords);
+          const NodeId owner = LeafOf(projected)->host;
+          ARRAYDB_CHECK_GE(owner, 0);
+          if (owner < new_node) {
+            load[static_cast<size_t>(owner)] += bytes;
+            contents[static_cast<size_t>(owner)].emplace_back(
+                std::move(projected), bytes);
+          }
+        });
     // Most loaded host whose region can still be subdivided (a region that
     // has shrunk to a single chunk column cannot be cut further).
     NodeId victim = -1;
@@ -192,14 +192,9 @@ cluster::MovePlan KdTreePartitioner::PlanScaleOut(
     SplitLeaf(LeafOfHost(victim), new_node, victim_chunks);
   }
 
-  cluster::MovePlan plan;
-  for (const auto& rec : cluster.AllChunks()) {
-    const NodeId target = LeafOf(projection_.Project(rec.coords))->host;
-    if (target != rec.node) {
-      plan.Add(cluster::ChunkMove{rec.coords, rec.bytes, rec.node, target});
-    }
-  }
-  return plan;
+  return PlanRelocations(cluster, [this](const array::Coordinates& coords) {
+    return LeafOf(projection_.Project(coords))->host;
+  });
 }
 
 NodeId KdTreePartitioner::Locate(

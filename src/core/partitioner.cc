@@ -45,4 +45,17 @@ NodeId MostLoadedNodeBelow(const cluster::Cluster& cluster, NodeId limit) {
   return best;
 }
 
+cluster::MovePlan PlanRelocations(
+    const cluster::Cluster& cluster,
+    const std::function<NodeId(const array::Coordinates&)>& target) {
+  cluster::MovePlan plan;
+  cluster.ForEachChunk(
+      {}, {},
+      [&](const array::Coordinates& coords, NodeId node, int64_t bytes) {
+        const NodeId to = target(coords);
+        if (to != node) plan.Add(cluster::ChunkMove{coords, bytes, node, to});
+      });
+  return plan;
+}
+
 }  // namespace arraydb::core

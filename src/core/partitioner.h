@@ -12,6 +12,7 @@
 #define ARRAYDB_CORE_PARTITIONER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,13 @@ NodeId MostLoadedNode(const cluster::Cluster& cluster);
 /// Most loaded node among ids in [0, limit). Used during scale-out to pick
 /// split victims only among preexisting nodes.
 NodeId MostLoadedNodeBelow(const cluster::Cluster& cluster, NodeId limit);
+
+/// The move plan that realizes an updated partitioning table: one move for
+/// every stored chunk whose `target(coords)` differs from its current
+/// owner, in lexicographic chunk order.
+cluster::MovePlan PlanRelocations(
+    const cluster::Cluster& cluster,
+    const std::function<NodeId(const array::Coordinates&)>& target);
 
 }  // namespace arraydb::core
 

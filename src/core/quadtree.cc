@@ -103,10 +103,13 @@ QuadtreePartitioner::QuadtreePartitioner(const array::ArraySchema& schema,
 int64_t QuadtreePartitioner::CellBytes(const Cell& cell,
                                        const cluster::Cluster& cluster) const {
   int64_t bytes = 0;
-  // arraydb-lint: order-insensitive -- exact integer sum.
-  for (const auto& [coords, rec] : cluster.chunk_map()) {
-    if (cell.Contains(projection_.Project(coords))) bytes += rec.bytes;
-  }
+  cluster.ForEachChunk({}, {},
+                       [&](const array::Coordinates& coords, NodeId,
+                           int64_t chunk_bytes) {
+                         if (cell.Contains(projection_.Project(coords))) {
+                           bytes += chunk_bytes;
+                         }
+                       });
   return bytes;
 }
 
@@ -240,13 +243,13 @@ cluster::MovePlan QuadtreePartitioner::PlanScaleOut(
   for (NodeId new_node = old_node_count; new_node < new_count; ++new_node) {
     // Working loads through the (already partially updated) table.
     std::vector<int64_t> load(static_cast<size_t>(new_node), 0);
-    // arraydb-lint: order-insensitive -- exact integer sums per host.
-    for (const auto& [coords, rec] : cluster.chunk_map()) {
-      const NodeId owner = Locate(coords);
-      if (owner >= 0 && owner < new_node) {
-        load[static_cast<size_t>(owner)] += rec.bytes;
-      }
-    }
+    cluster.ForEachChunk(
+        {}, {}, [&](const array::Coordinates& coords, NodeId, int64_t bytes) {
+          const NodeId owner = Locate(coords);
+          if (owner >= 0 && owner < new_node) {
+            load[static_cast<size_t>(owner)] += bytes;
+          }
+        });
     // Most loaded host that can actually shed cells: several sibling
     // cells, or one cell that is still subdividable.
     NodeId victim = -1;
@@ -267,14 +270,9 @@ cluster::MovePlan QuadtreePartitioner::PlanScaleOut(
     SplitHost(victim, new_node, cluster);
   }
 
-  cluster::MovePlan plan;
-  for (const auto& rec : cluster.AllChunks()) {
-    const NodeId target = Locate(rec.coords);
-    if (target != rec.node) {
-      plan.Add(cluster::ChunkMove{rec.coords, rec.bytes, rec.node, target});
-    }
-  }
-  return plan;
+  return PlanRelocations(cluster, [this](const array::Coordinates& coords) {
+    return Locate(coords);
+  });
 }
 
 NodeId QuadtreePartitioner::Locate(

@@ -20,14 +20,9 @@ cluster::MovePlan RoundRobinPartitioner::PlanScaleOut(
     const cluster::Cluster& cluster, int old_node_count) {
   ARRAYDB_CHECK_EQ(old_node_count, num_nodes_);
   num_nodes_ = cluster.num_nodes();
-  cluster::MovePlan plan;
-  for (const auto& rec : cluster.AllChunks()) {
-    const NodeId target = Locate(rec.coords);
-    if (target != rec.node) {
-      plan.Add(cluster::ChunkMove{rec.coords, rec.bytes, rec.node, target});
-    }
-  }
-  return plan;
+  return PlanRelocations(cluster, [this](const array::Coordinates& coords) {
+    return Locate(coords);
+  });
 }
 
 NodeId RoundRobinPartitioner::Locate(

@@ -59,14 +59,9 @@ cluster::MovePlan UniformRangePartitioner::PlanScaleOut(
   num_nodes_ = cluster.num_nodes();
   // Global rebalance: every chunk is re-addressed against the new l/n
   // blocks; a cascade of moves may touch most of the cluster.
-  cluster::MovePlan plan;
-  for (const auto& rec : cluster.AllChunks()) {
-    const NodeId target = Locate(rec.coords);
-    if (target != rec.node) {
-      plan.Add(cluster::ChunkMove{rec.coords, rec.bytes, rec.node, target});
-    }
-  }
-  return plan;
+  return PlanRelocations(cluster, [this](const array::Coordinates& coords) {
+    return Locate(coords);
+  });
 }
 
 NodeId UniformRangePartitioner::Locate(

@@ -50,25 +50,23 @@ void ForEachRingNeighbor(const array::Coordinates& coords, Fn&& fn) {
 QueryCost QueryEngine::Simulate(const QuerySpec& spec,
                                 const cluster::PlacementView& placement,
                                 const array::ArraySchema& schema) const {
-  (void)schema;
+  ARRAYDB_CHECK_EQ(spec.region.lo.size(),
+                   static_cast<size_t>(schema.num_dims()));
+  ARRAYDB_CHECK_EQ(spec.region.hi.size(),
+                   static_cast<size_t>(schema.num_dims()));
   QueryCost cost;
   cost.minutes = params_.startup_minutes;
 
-  // Gather the chunks this query touches, with their routed owners, in
-  // deterministic order.
+  // Gather the chunks this query touches, with their routed owners, in the
+  // placement's lexicographic order.
   std::vector<cluster::ChunkRecord> relevant;
-  placement.ForEachChunk([&spec, &relevant](const array::Coordinates& coords,
-                                            cluster::NodeId node,
-                                            int64_t bytes) {
-    if (spec.region.Contains(coords)) {
-      relevant.push_back(cluster::ChunkRecord{coords, bytes, node});
-    }
-  });
+  placement.ForEachChunk(
+      spec.region.lo, spec.region.hi,
+      [&relevant](const array::Coordinates& coords, cluster::NodeId node,
+                  int64_t bytes) {
+        relevant.push_back(cluster::ChunkRecord{coords, bytes, node});
+      });
   if (relevant.empty()) return cost;
-  std::sort(relevant.begin(), relevant.end(),
-            [](const cluster::ChunkRecord& a, const cluster::ChunkRecord& b) {
-              return array::CoordinatesLess(a.coords, b.coords);
-            });
 
   const int num_nodes = placement.num_nodes();
   std::vector<double> node_minutes(static_cast<size_t>(num_nodes), 0.0);

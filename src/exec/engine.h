@@ -13,6 +13,14 @@
 // runs against a quiesced Cluster or a reorg::DualResidencyView of a cluster
 // with migration increments in flight — mid-reorg queries stay routed to
 // readable replicas and return results identical to a quiesced cluster.
+//
+// Simulate asks the placement for the query's region only: the view's box
+// enumeration walks its lexicographically ordered placement table from the
+// region's low corner and stops past its high end in dimension 0, already
+// in the fixed order every floating-point sum below relies on. A query over
+// the newest time steps of a time-major array therefore costs its own
+// chunks (plus one hash probe per halo neighbor), not a copy and sort of
+// every placement record.
 
 #ifndef ARRAYDB_EXEC_ENGINE_H_
 #define ARRAYDB_EXEC_ENGINE_H_
@@ -62,7 +70,7 @@ class QueryEngine {
 
   /// Prices `spec` against `placement` (a quiesced Cluster or a mid-reorg
   /// DualResidencyView) for an array with `schema`. Deterministic for a
-  /// given (spec, placement).
+  /// given (spec, placement). `spec.region` must have the schema's rank.
   QueryCost Simulate(const QuerySpec& spec,
                      const cluster::PlacementView& placement,
                      const array::ArraySchema& schema) const;

@@ -1,29 +1,38 @@
 #include "reorg/dual_residency.h"
 
 namespace arraydb::reorg {
+namespace {
+
+// Reads of a dual-resident chunk go to its retained source replica.
+template <typename Record>
+cluster::NodeId RoutedNode(const Record& rec) {
+  return rec.source_replica != cluster::kInvalidNode ? rec.source_replica
+                                                     : rec.node;
+}
+
+}  // namespace
 
 cluster::NodeId DualResidencyView::OwnerOf(
     const array::Coordinates& coords) const {
-  const cluster::NodeId source = cluster_->SourceReplicaOf(coords);
-  if (source != cluster::kInvalidNode) return source;
-  return cluster_->OwnerOf(coords);
+  const auto* rec = cluster_->Find(coords);
+  return rec == nullptr ? cluster::kInvalidNode : RoutedNode(*rec);
 }
 
 bool DualResidencyView::Lookup(const array::Coordinates& coords,
                                cluster::NodeId* node, int64_t* bytes) const {
-  if (!cluster_->Lookup(coords, node, bytes)) return false;
-  const cluster::NodeId source = cluster_->SourceReplicaOf(coords);
-  if (source != cluster::kInvalidNode) *node = source;
+  const auto* rec = cluster_->Find(coords);
+  if (rec == nullptr) return false;
+  *node = RoutedNode(*rec);
+  *bytes = rec->bytes;
   return true;
 }
 
 void DualResidencyView::ForEachChunk(
+    const array::Coordinates& lo, const array::Coordinates& hi,
     const std::function<void(const array::Coordinates&, cluster::NodeId,
                              int64_t)>& fn) const {
-  cluster_->ForEachChunk([this, &fn](const array::Coordinates& coords,
-                                     cluster::NodeId node, int64_t bytes) {
-    const cluster::NodeId source = cluster_->SourceReplicaOf(coords);
-    fn(coords, source != cluster::kInvalidNode ? source : node, bytes);
+  cluster_->VisitBox(lo, hi, [&fn](const auto& rec) {
+    fn(rec.coords, RoutedNode(rec), rec.bytes);
   });
 }
 

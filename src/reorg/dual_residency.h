@@ -12,8 +12,12 @@
 // makes interleaved query results bit-identical to a quiesced cluster and
 // independent of increment sizing and thread counts.
 //
+// The retained source replica is a field of the cluster's placement
+// record, so routing costs what the quiesced cluster costs: one hash probe
+// per Lookup/OwnerOf and none per chunk of a box enumeration.
+//
 // With no reorganization active the view is an exact pass-through of the
-// cluster. Views are cheap to construct (two pointers); construct one per
+// cluster. Views are cheap to construct (one pointer); construct one per
 // query phase rather than caching across commits.
 
 #ifndef ARRAYDB_REORG_DUAL_RESIDENCY_H_
@@ -39,6 +43,7 @@ class DualResidencyView final : public cluster::PlacementView {
               int64_t* bytes) const override;
 
   void ForEachChunk(
+      const array::Coordinates& lo, const array::Coordinates& hi,
       const std::function<void(const array::Coordinates&, cluster::NodeId,
                                int64_t)>& fn) const override;
 

@@ -4,9 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "array/schema.h"
 #include "cluster/cluster.h"
 #include "exec/engine.h"
+#include "reorg/dual_residency.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace arraydb::exec {
@@ -221,6 +230,195 @@ TEST(QueryEngineTest, AttrJoinBroadcastsSmallSide) {
   const auto cost = engine.Simulate(q, cluster, schema);
   EXPECT_NEAR(cost.network_minutes,
               0.024 * engine.params().net_min_per_gb, 1e-9);
+}
+
+// --- Differential test: box-walk Simulate vs the full-enumeration oracle --
+//
+// The oracle placement answers Simulate the way the engine once gathered
+// chunks itself: enumerate every stored chunk in insertion order, keep the
+// ones the query's region Contains, and sort them. It ignores the box
+// Simulate asks for, so any chunk the box walk drops, adds or reorders
+// changes a price.
+class FullEnumerationOracle final : public cluster::PlacementView {
+ public:
+  FullEnumerationOracle(std::vector<cluster::ChunkRecord> records,
+                        int num_nodes, ChunkRegion region)
+      : records_(std::move(records)),
+        num_nodes_(num_nodes),
+        region_(std::move(region)) {
+    for (const auto& rec : records_) by_coords_.emplace(rec.coords, rec);
+  }
+
+  int num_nodes() const override { return num_nodes_; }
+
+  cluster::NodeId OwnerOf(const Coordinates& coords) const override {
+    const auto it = by_coords_.find(coords);
+    return it == by_coords_.end() ? cluster::kInvalidNode : it->second.node;
+  }
+
+  bool Lookup(const Coordinates& coords, cluster::NodeId* node,
+              int64_t* bytes) const override {
+    const auto it = by_coords_.find(coords);
+    if (it == by_coords_.end()) return false;
+    *node = it->second.node;
+    *bytes = it->second.bytes;
+    return true;
+  }
+
+  void ForEachChunk(const Coordinates&, const Coordinates&,
+                    const std::function<void(const Coordinates&,
+                                             cluster::NodeId, int64_t)>& fn)
+      const override {
+    std::vector<cluster::ChunkRecord> relevant;
+    for (const auto& rec : records_) {
+      if (region_.Contains(rec.coords)) relevant.push_back(rec);
+    }
+    std::sort(relevant.begin(), relevant.end(),
+              [](const cluster::ChunkRecord& a, const cluster::ChunkRecord& b) {
+                return array::CoordinatesLess(a.coords, b.coords);
+              });
+    for (const auto& rec : relevant) fn(rec.coords, rec.node, rec.bytes);
+  }
+
+ private:
+  std::vector<cluster::ChunkRecord> records_;  // Insertion order.
+  std::map<Coordinates, cluster::ChunkRecord> by_coords_;
+  int num_nodes_;
+  ChunkRegion region_;
+};
+
+ArraySchema SchemaOfRank(size_t dims) {
+  std::vector<DimensionDesc> d;
+  for (size_t i = 0; i < dims; ++i) {
+    const std::string name(1, static_cast<char>('t' + i));
+    d.push_back(DimensionDesc{name, 0, 7, 1, false});
+  }
+  return ArraySchema("r", d, {AttributeDesc{"v", AttrType::kDouble}});
+}
+
+// Regions of every shape: the All sentinels, single chunks, positions that
+// hold nothing, inverted boxes and random sub-boxes.
+std::vector<ChunkRegion> RandomRegions(util::Rng& rng, size_t dims,
+                                       const std::vector<Coordinates>& stored) {
+  std::vector<ChunkRegion> regions{ChunkRegion::All(static_cast<int>(dims))};
+  for (int i = 0; i < 3; ++i) {
+    const Coordinates& c = stored[rng.NextBounded(stored.size())];
+    regions.push_back(ChunkRegion{c, c});
+  }
+  regions.push_back(
+      ChunkRegion{Coordinates(dims, 50), Coordinates(dims, 60)});
+  regions.push_back(ChunkRegion{Coordinates(dims, 3), Coordinates(dims, -3)});
+  for (int i = 0; i < 6; ++i) {
+    ChunkRegion r{Coordinates(dims), Coordinates(dims)};
+    for (size_t d = 0; d < dims; ++d) {
+      r.lo[d] = -6 + static_cast<int64_t>(rng.NextBounded(12));
+      r.hi[d] = r.lo[d] + static_cast<int64_t>(rng.NextBounded(8));
+    }
+    regions.push_back(r);
+  }
+  return regions;
+}
+
+void ExpectBitEqual(const QueryCost& a, const QueryCost& b) {
+  EXPECT_EQ(a.minutes, b.minutes);
+  EXPECT_EQ(a.makespan_minutes, b.makespan_minutes);
+  EXPECT_EQ(a.network_minutes, b.network_minutes);
+  EXPECT_EQ(a.scanned_gb, b.scanned_gb);
+  EXPECT_EQ(a.chunks_touched, b.chunks_touched);
+  EXPECT_EQ(a.remote_neighbor_fetches, b.remote_neighbor_fetches);
+}
+
+// Prices every QueryKind over every region through `placement` and through
+// the oracle built from its per-chunk routed lookups.
+void ExpectSimulateMatchesOracle(util::Rng& rng,
+                                 const cluster::PlacementView& placement,
+                                 const std::vector<Coordinates>& history,
+                                 const ArraySchema& schema) {
+  std::vector<cluster::ChunkRecord> records;
+  for (const auto& c : history) {
+    cluster::ChunkRecord rec{c, 0, cluster::kInvalidNode};
+    ASSERT_TRUE(placement.Lookup(c, &rec.node, &rec.bytes));
+    records.push_back(rec);
+  }
+  const QueryEngine engine;
+  const size_t dims = static_cast<size_t>(schema.num_dims());
+  for (const ChunkRegion& region : RandomRegions(rng, dims, history)) {
+    const FullEnumerationOracle oracle(records, placement.num_nodes(),
+                                       region);
+    for (const QueryKind kind :
+         {QueryKind::kFilter, QueryKind::kSortQuantile, QueryKind::kDimJoin,
+          QueryKind::kAttrJoin, QueryKind::kGroupBy, QueryKind::kWindow,
+          QueryKind::kKMeans, QueryKind::kKnn}) {
+      QuerySpec q;
+      q.kind = kind;
+      q.region = region;
+      q.cpu_min_per_gb = 0.07;
+      q.selectivity = 0.3;
+      q.iterations = 4;
+      q.knn_samples = 24;
+      q.halo_fraction = 0.2;
+      q.small_side_gb = 0.01;
+      q.seed = rng.NextUint64();
+      SCOPED_TRACE(QueryKindName(kind));
+      ExpectBitEqual(engine.Simulate(q, placement, schema),
+                     engine.Simulate(q, oracle, schema));
+    }
+  }
+}
+
+TEST(QueryEngineTest, BoxWalkPricesBitEqualToFullEnumeration) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    util::Rng rng(seed);
+    const size_t dims = 2 + seed % 2;
+    const ArraySchema schema = SchemaOfRank(dims);
+    cluster::Cluster cluster(3, 100.0);
+    // Shuffled history with negative coordinates.
+    std::set<Coordinates> unique;
+    for (int i = 0; i < 150; ++i) {
+      Coordinates c(dims);
+      for (size_t d = 0; d < dims; ++d) {
+        c[d] = -5 + static_cast<int64_t>(rng.NextBounded(11));
+      }
+      unique.insert(c);
+    }
+    std::vector<Coordinates> history(unique.begin(), unique.end());
+    for (size_t i = history.size(); i > 1; --i) {
+      std::swap(history[i - 1], history[rng.NextBounded(i)]);
+    }
+    for (const auto& c : history) {
+      ASSERT_TRUE(cluster
+                      .PlaceChunk(c, Gb(0.01 * (1 + rng.NextBounded(40))),
+                                  static_cast<cluster::NodeId>(
+                                      rng.NextBounded(3)))
+                      .ok());
+    }
+    {
+      SCOPED_TRACE("quiesced");
+      ExpectSimulateMatchesOracle(rng, cluster, history, schema);
+    }
+
+    // Mid-reorg: a plan moving about half the chunks to new nodes, with
+    // some increments committed; prices go through the routing view.
+    const cluster::NodeId first_new = cluster.AddNodes(2);
+    cluster::MovePlan plan;
+    for (const auto& rec : cluster.AllChunks()) {
+      if (rng.NextBounded(2) == 0) {
+        plan.Add(cluster::ChunkMove{
+            rec.coords, rec.bytes, rec.node,
+            first_new + static_cast<cluster::NodeId>(rng.NextBounded(2))});
+      }
+    }
+    ASSERT_TRUE(cluster.BeginApply(plan).ok());
+    for (int i = 0; i < 2 && cluster.pending_reorg_chunks() > 0; ++i) {
+      ASSERT_TRUE(cluster.AdvanceIncrement(plan.TotalBytes() / 4).ok());
+      ASSERT_TRUE(cluster.CommitIncrement().ok());
+    }
+    {
+      SCOPED_TRACE("mid-reorg");
+      const reorg::DualResidencyView view(cluster);
+      ExpectSimulateMatchesOracle(rng, view, history, schema);
+    }
+  }
 }
 
 }  // namespace

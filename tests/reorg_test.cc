@@ -161,7 +161,7 @@ TEST(DualResidencyViewTest, RoutesReadsToSourceUntilRelease) {
   EXPECT_EQ(node, 0);
   EXPECT_EQ(bytes, 64 * kMiB);
   int64_t on_source = 0;
-  view.ForEachChunk([&](const array::Coordinates&, NodeId n, int64_t) {
+  view.ForEachChunk({}, {}, [&](const array::Coordinates&, NodeId n, int64_t) {
     if (n == 0) ++on_source;
   });
   EXPECT_EQ(on_source, 8);  // All chunks still read from node 0.

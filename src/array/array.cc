@@ -1,6 +1,5 @@
 #include "array/array.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/logging.h"
@@ -12,7 +11,7 @@ Array::Array(ArraySchema schema) : schema_(std::move(schema)) {
 }
 
 util::Status Array::InsertCell(const Coordinates& pos,
-                               std::vector<double> values) {
+                               const std::vector<double>& values) {
   if (pos.size() != static_cast<size_t>(schema_.num_dims())) {
     return util::InvalidArgument("cell rank does not match schema");
   }
@@ -26,9 +25,8 @@ util::Status Array::InsertCell(const Coordinates& pos,
     }
   }
   const Coordinates cc = schema_.ChunkOf(pos);
-  auto [it, inserted] = chunks_.try_emplace(cc, Chunk(cc));
-  (void)inserted;
-  it->second.AppendCell(pos, values, schema_.BytesPerCell());
+  Chunk* chunk = chunks_.FindOrInsert(cc, [&cc] { return Chunk(cc); }).first;
+  chunk->AppendCell(pos, values, schema_.BytesPerCell());
   total_cells_ += 1;
   total_bytes_ += schema_.BytesPerCell();
   return util::Status::Ok();
@@ -39,52 +37,44 @@ util::Status Array::AddSyntheticChunk(const ChunkInfo& info) {
     return util::OutOfRange("chunk outside declared grid: " +
                             CoordinatesToString(info.coords));
   }
-  if (chunks_.contains(info.coords)) {
+  const auto make = [&info] {
+    Chunk chunk(info.coords);
+    chunk.SetSyntheticSize(info.cell_count, info.bytes);
+    return chunk;
+  };
+  if (!chunks_.FindOrInsert(info.coords, make).second) {
     return util::AlreadyExists("chunk exists (no-overwrite storage): " +
                                CoordinatesToString(info.coords));
   }
-  Chunk chunk(info.coords);
-  chunk.SetSyntheticSize(info.cell_count, info.bytes);
-  chunks_.emplace(info.coords, std::move(chunk));
   total_cells_ += info.cell_count;
   total_bytes_ += info.bytes;
   return util::Status::Ok();
 }
 
 const Chunk* Array::FindChunk(const Coordinates& chunk_coords) const {
-  const auto it = chunks_.find(chunk_coords);
-  return it == chunks_.end() ? nullptr : &it->second;
+  return chunks_.Find(chunk_coords);
 }
 
 std::vector<ChunkInfo> Array::ChunkInfos() const {
   std::vector<ChunkInfo> out;
   out.reserve(chunks_.size());
-  // arraydb-lint: ordered-extract -- copied out, then sorted below.
   for (const auto& [coords, chunk] : chunks_) out.push_back(chunk.info());
-  std::sort(out.begin(), out.end(),
-            [](const ChunkInfo& a, const ChunkInfo& b) {
-              return CoordinatesLess(a.coords, b.coords);
-            });
   return out;
 }
 
 std::vector<const Chunk*> Array::SortedChunks() const {
   std::vector<const Chunk*> out;
   out.reserve(chunks_.size());
-  // arraydb-lint: ordered-extract -- copied out, then sorted below.
   for (const auto& [coords, chunk] : chunks_) out.push_back(&chunk);
-  std::sort(out.begin(), out.end(), [](const Chunk* a, const Chunk* b) {
-    return CoordinatesLess(a->coords(), b->coords());
-  });
   return out;
 }
 
 std::vector<Cell> Array::AllCells() const {
   std::vector<Cell> out;
   out.reserve(static_cast<size_t>(total_cells_));
-  for (const Chunk* chunk : SortedChunks()) {
-    for (size_t i = 0; i < chunk->num_cells(); ++i) {
-      out.push_back(chunk->MaterializeCell(i));
+  for (const auto& [coords, chunk] : chunks_) {
+    for (size_t i = 0; i < chunk.num_cells(); ++i) {
+      out.push_back(chunk.MaterializeCell(i));
     }
   }
   return out;

@@ -1,20 +1,31 @@
 // An Array is a schema plus a sparse collection of non-empty chunks keyed by
 // chunk-grid coordinates. Only non-empty cells are stored, so the on-disk
 // footprint is a function of cell counts, not the declared array size (§2).
+//
+// The chunks live in one ChunkTable (array/chunk_table.h), kept in
+// lexicographic coordinate order as chunks arrive, so every enumeration
+// (chunks(), SortedChunks(), ChunkInfos(), AllCells()) walks that order
+// without sorting. Chunk pointers, cell-span views and other references into
+// an Array are invalidated by mutating that array (InsertCell,
+// AddSyntheticChunk); const member functions only read, so concurrent
+// readers of an array nobody mutates need no locking.
 
 #ifndef ARRAYDB_ARRAY_ARRAY_H_
 #define ARRAYDB_ARRAY_ARRAY_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "array/chunk.h"
+#include "array/chunk_table.h"
 #include "array/coordinates.h"
 #include "array/schema.h"
 #include "util/status.h"
 
 namespace arraydb::array {
+
+/// An array's chunks in lexicographic coordinate order.
+using ChunkMap = ChunkTable<Chunk, &Chunk::coords>;
 
 class Array {
  public:
@@ -24,7 +35,8 @@ class Array {
 
   /// Inserts a materialized cell at logical position `pos`; routes it into
   /// the owning chunk (creating the chunk if needed).
-  util::Status InsertCell(const Coordinates& pos, std::vector<double> values);
+  util::Status InsertCell(const Coordinates& pos,
+                         const std::vector<double>& values);
 
   /// Registers a synthetic chunk with only metadata (paper-scale mode).
   /// Fails if a chunk already exists at those coordinates: the paper's
@@ -41,23 +53,21 @@ class Array {
   /// Chunk metadata in deterministic (lexicographic) order.
   std::vector<ChunkInfo> ChunkInfos() const;
 
-  /// Pointers to all chunks in deterministic (lexicographic coordinate)
-  /// order, for operators that must produce order-stable output.
+  /// Pointers to all chunks in lexicographic coordinate order, for
+  /// operators that must produce order-stable output.
   std::vector<const Chunk*> SortedChunks() const;
 
   /// All materialized cells (test/example scale only), in deterministic
   /// order: chunks by coordinates, cells in insertion order within a chunk.
   std::vector<Cell> AllCells() const;
 
-  /// Direct access to the chunk map for operators.
-  const std::unordered_map<Coordinates, Chunk, CoordinatesHash>& chunks()
-      const {
-    return chunks_;
-  }
+  /// All chunks in lexicographic coordinate order; iteration yields
+  /// (coords, chunk) reference pairs.
+  const ChunkMap& chunks() const { return chunks_; }
 
  private:
   ArraySchema schema_;
-  std::unordered_map<Coordinates, Chunk, CoordinatesHash> chunks_;
+  ChunkMap chunks_;
   int64_t total_cells_ = 0;
   int64_t total_bytes_ = 0;
 };

@@ -7,9 +7,8 @@
 namespace arraydb::array {
 
 CellSpanView::CellSpanView(const Array& array) {
-  for (const Chunk* chunk : array.SortedChunks()) {
-    if (chunk->num_cells() == 0) continue;
-    chunks_.push_back(chunk);
+  for (const auto& [coords, chunk] : array.chunks()) {
+    if (chunk.num_cells() != 0) chunks_.push_back(&chunk);
   }
   offsets_.reserve(chunks_.size() + 1);
   offsets_.push_back(0);

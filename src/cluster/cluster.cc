@@ -1,6 +1,5 @@
 #include "cluster/cluster.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/logging.h"
@@ -37,72 +36,20 @@ util::Status Cluster::PlaceChunk(const array::Coordinates& coords,
         util::StrFormat("placement on unknown node %d", node));
   }
   if (bytes < 0) return util::InvalidArgument("negative chunk size");
-  const uint64_t hash = array::CoordinatesHash()(coords);
-  if (FindId(coords, hash) != kNoChunk) {
+  const auto make = [&] { return Record{coords, bytes, node}; };
+  if (!table_.FindOrInsert(coords, make).second) {
     return util::AlreadyExists("chunk exists (no-overwrite storage): " +
                                array::CoordinatesToString(coords));
   }
-  ARRAYDB_CHECK_LT(records_.size(), size_t{kNoChunk});
-  const auto id = static_cast<uint32_t>(records_.size());
-  records_.push_back(Record{coords, bytes, node});
-  IndexInsert(id, hash);
-  // Time-major ingest appends past the last chunk; anything else shifts the
-  // ids after its lexicographic position.
-  auto pos = ordered_ids_.end();
-  if (!ordered_ids_.empty() && coords < records_[ordered_ids_.back()].coords) {
-    pos = std::lower_bound(ordered_ids_.begin(), ordered_ids_.end(), coords,
-                           [this](uint32_t other, const array::Coordinates& c) {
-                             return records_[other].coords < c;
-                           });
-  }
-  ordered_ids_.insert(pos, id);
   node_bytes_[static_cast<size_t>(node)] += bytes;
   node_chunks_[static_cast<size_t>(node)] += 1;
   total_bytes_ += bytes;
   return util::Status::Ok();
 }
 
-uint32_t Cluster::FindId(const array::Coordinates& coords,
-                         uint64_t hash) const {
-  if (index_.empty()) return kNoChunk;
-  const size_t mask = index_.size() - 1;
-  const uint64_t tag = hash >> 32;
-  for (size_t i = hash & mask;; i = (i + 1) & mask) {
-    const uint64_t slot = index_[i];
-    if (slot == kEmptySlot) return kNoChunk;
-    const auto id = static_cast<uint32_t>(slot);
-    if ((slot >> 32) == tag && records_[id].coords == coords) return id;
-  }
-}
-
-const Cluster::Record* Cluster::Find(const array::Coordinates& coords) const {
-  const uint32_t id = FindId(coords, array::CoordinatesHash()(coords));
-  return id == kNoChunk ? nullptr : &records_[id];
-}
-
-Cluster::Record* Cluster::Find(const array::Coordinates& coords) {
-  return const_cast<Record*>(std::as_const(*this).Find(coords));
-}
-
-void Cluster::IndexInsert(uint32_t id, uint64_t hash) {
-  const auto place = [this](uint32_t slot_id, uint64_t h) {
-    const size_t mask = index_.size() - 1;
-    size_t i = h & mask;
-    while (index_[i] != kEmptySlot) i = (i + 1) & mask;
-    index_[i] = (h >> 32) << 32 | slot_id;
-  };
-  if (2 * (static_cast<size_t>(id) + 1) > index_.size()) {
-    index_.assign(std::max<size_t>(16, 2 * index_.size()), kEmptySlot);
-    for (uint32_t old = 0; old < id; ++old) {
-      place(old, array::CoordinatesHash()(records_[old].coords));
-    }
-  }
-  place(id, hash);
-}
-
 util::Status Cluster::ValidatePlan(const MovePlan& plan) const {
   for (const auto& m : plan.moves()) {
-    const Record* rec = Find(m.coords);
+    const Record* rec = table_.Find(m.coords);
     if (rec == nullptr) {
       return util::NotFound("move of unknown chunk " +
                             array::CoordinatesToString(m.coords));
@@ -131,7 +78,7 @@ util::Status Cluster::Apply(const MovePlan& plan) {
   }
   // Validate the whole plan before mutating anything.
   if (auto status = ValidatePlan(plan); !status.ok()) return status;
-  for (const auto& m : plan.moves()) Reassign(*Find(m.coords), m.to);
+  for (const auto& m : plan.moves()) Reassign(*table_.Find(m.coords), m.to);
   return util::Status::Ok();
 }
 
@@ -154,7 +101,9 @@ util::Status Cluster::BeginApply(const MovePlan& plan) {
   pending_cursor_ = 0;
   in_flight_end_ = 0;
   // Retain each planned chunk's source residency for routing.
-  for (const auto& m : pending_moves_) Find(m.coords)->source_replica = m.from;
+  for (const auto& m : pending_moves_) {
+    table_.Find(m.coords)->source_replica = m.from;
+  }
   return util::Status::Ok();
 }
 
@@ -189,7 +138,7 @@ util::Status Cluster::CommitIncrement() {
   }
   for (size_t i = pending_cursor_; i < in_flight_end_; ++i) {
     const auto& m = pending_moves_[i];
-    Reassign(*Find(m.coords), m.to);
+    Reassign(*table_.Find(m.coords), m.to);
   }
   pending_cursor_ = in_flight_end_;
   ++reorg_epoch_;
@@ -214,7 +163,7 @@ void Cluster::AbortReorg() {
 
 void Cluster::ReleaseReorg() {
   for (const auto& m : pending_moves_) {
-    Find(m.coords)->source_replica = kInvalidNode;
+    table_.Find(m.coords)->source_replica = kInvalidNode;
   }
   pending_moves_.clear();
   pending_cursor_ = 0;
@@ -233,7 +182,7 @@ util::Status Cluster::RollbackReorg() {
   // is a metadata flip, not a data transfer.
   for (size_t i = 0; i < pending_cursor_; ++i) {
     const auto& m = pending_moves_[i];
-    Reassign(*Find(m.coords), m.from);
+    Reassign(*table_.Find(m.coords), m.from);
   }
   ReleaseReorg();
   return util::Status::Ok();
@@ -305,7 +254,7 @@ util::StatusOr<Cluster::RerouteStats> Cluster::RerouteDeadDestination(
       // Revert the committed flip onto the retained source replica and
       // re-stage the move (after the surviving pending moves, preserving
       // their order) toward the new destination.
-      Reassign(*Find(m.coords), m.from);
+      Reassign(*table_.Find(m.coords), m.from);
       stats.reverted_committed += 1;
       stats.reverted_bytes += m.bytes;
       restaged.push_back(m);
@@ -326,13 +275,13 @@ util::StatusOr<Cluster::RerouteStats> Cluster::RerouteDeadDestination(
 }
 
 NodeId Cluster::SourceReplicaOf(const array::Coordinates& coords) const {
-  const Record* rec = Find(coords);
+  const Record* rec = table_.Find(coords);
   return rec == nullptr ? kInvalidNode : rec->source_replica;
 }
 
 bool Cluster::Lookup(const array::Coordinates& coords, NodeId* node,
                      int64_t* bytes) const {
-  const Record* rec = Find(coords);
+  const Record* rec = table_.Find(coords);
   if (rec == nullptr) return false;
   *node = rec->node;
   *bytes = rec->bytes;
@@ -343,17 +292,18 @@ void Cluster::ForEachChunk(
     const array::Coordinates& lo, const array::Coordinates& hi,
     const std::function<void(const array::Coordinates&, NodeId, int64_t)>& fn)
     const {
-  VisitBox(lo, hi,
-           [&fn](const Record& rec) { fn(rec.coords, rec.node, rec.bytes); });
+  table_.ForEachInBox(
+      lo, hi,
+      [&fn](const Record& rec) { fn(rec.coords, rec.node, rec.bytes); });
 }
 
 NodeId Cluster::OwnerOf(const array::Coordinates& coords) const {
-  const Record* rec = Find(coords);
+  const Record* rec = table_.Find(coords);
   return rec == nullptr ? kInvalidNode : rec->node;
 }
 
 bool Cluster::Contains(const array::Coordinates& coords) const {
-  return Find(coords) != nullptr;
+  return table_.Find(coords) != nullptr;
 }
 
 int64_t Cluster::NodeBytes(NodeId node) const {
@@ -388,21 +338,17 @@ int64_t Cluster::NodeChunkCount(NodeId node) const {
 
 std::vector<ChunkRecord> Cluster::ChunksOnNode(NodeId node) const {
   std::vector<ChunkRecord> out;
-  for (const uint32_t id : ordered_ids_) {
-    const Record& rec = records_[id];
-    if (rec.node == node) {
-      out.push_back(ChunkRecord{rec.coords, rec.bytes, node});
-    }
+  for (const auto& [coords, rec] : table_) {
+    if (rec.node == node) out.push_back(ChunkRecord{coords, rec.bytes, node});
   }
   return out;
 }
 
 std::vector<ChunkRecord> Cluster::AllChunks() const {
   std::vector<ChunkRecord> out;
-  out.reserve(ordered_ids_.size());
-  for (const uint32_t id : ordered_ids_) {
-    const Record& rec = records_[id];
-    out.push_back(ChunkRecord{rec.coords, rec.bytes, rec.node});
+  out.reserve(table_.size());
+  for (const auto& [coords, rec] : table_) {
+    out.push_back(ChunkRecord{coords, rec.bytes, rec.node});
   }
   return out;
 }

@@ -17,34 +17,24 @@
 // reorg::DualResidencyView) pins reads to that source residency so results
 // are independent of how far the migration has progressed.
 //
-// Placement table. Records live in a slab in insertion order; a record's
-// id is its slab index and never changes, because chunks are never removed.
-// Two structures index the slab by id:
-//   * an open-addressing hash index from coordinates to id (each slot holds
-//     the id plus 32 bits of the hash, so no coordinate vector is stored
-//     twice) serving Lookup, OwnerOf, Contains and plan validation;
-//   * the ids in lexicographic coordinate order, serving every enumeration
-//     (ForEachChunk's box walk, AllChunks, ChunksOnNode) without a sort.
-// The retained source replica of an active reorganization is a field of
-// the record: set for every planned chunk at BeginApply and cleared at
-// FinishApply, AbortReorg and RollbackReorg. The structures refer to
-// records by id rather than by pointer, so a copied Cluster is independent.
-//
-// PlaceChunk costs one hash probe plus a binary search and a shift of the
-// ordered ids after the insertion point. Arrays grow in time order along
-// dimension 0 (every workload ingests time-major), so new chunks land at or
-// near the tail and the shift is short; a chunk older than everything
-// stored shifts the whole id vector.
+// Placement table. Records live in one array::ChunkTable (see
+// array/chunk_table.h for its order, id-stability and insertion-cost
+// contract), so Lookup, OwnerOf, Contains and plan validation cost one hash
+// probe and every enumeration (ForEachChunk's box walk, AllChunks,
+// ChunksOnNode) walks lexicographic order without a sort. The retained
+// source replica of an active reorganization is a field of the record: set
+// for every planned chunk at BeginApply and cleared at FinishApply,
+// AbortReorg and RollbackReorg.
 
 #ifndef ARRAYDB_CLUSTER_CLUSTER_H_
 #define ARRAYDB_CLUSTER_CLUSTER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "array/chunk.h"
+#include "array/chunk_table.h"
 #include "array/coordinates.h"
 #include "cluster/placement_view.h"
 #include "cluster/transfer.h"
@@ -80,8 +70,8 @@ class Cluster : public PlacementView {
   NodeId AddNodes(int k);
 
   /// Records a brand-new chunk on `node`. Fails on duplicate coordinates
-  /// (no-overwrite storage) or an unknown node. O(log n) plus a shift of
-  /// the ordered ids after the insertion point (see the file comment).
+  /// (no-overwrite storage) or an unknown node. Costs one ChunkTable
+  /// insertion.
   util::Status PlaceChunk(const array::Coordinates& coords, int64_t bytes,
                           NodeId node);
 
@@ -212,7 +202,7 @@ class Cluster : public PlacementView {
   /// True if a chunk with these coordinates is stored.
   bool Contains(const array::Coordinates& coords) const;
 
-  int64_t num_chunks() const { return static_cast<int64_t>(records_.size()); }
+  int64_t num_chunks() const { return static_cast<int64_t>(table_.size()); }
 
   /// Stored bytes on one node.
   int64_t NodeBytes(NodeId node) const;
@@ -242,7 +232,7 @@ class Cluster : public PlacementView {
   // record it finds the chunk in: one probe per lookup, none per visit.
   friend class reorg::DualResidencyView;
 
-  // One slab entry: the public record plus the retained source replica.
+  // One table entry: the public record plus the retained source replica.
   struct Record {
     array::Coordinates coords;
     int64_t bytes = 0;
@@ -251,22 +241,6 @@ class Cluster : public PlacementView {
     // reorganization covers this chunk; kInvalidNode otherwise.
     NodeId source_replica = kInvalidNode;
   };
-
-  static constexpr uint32_t kNoChunk = UINT32_MAX;
-
-  // Id of the chunk at `coords` (whose CoordinatesHash is `hash`), or
-  // kNoChunk.
-  uint32_t FindId(const array::Coordinates& coords, uint64_t hash) const;
-  const Record* Find(const array::Coordinates& coords) const;
-  Record* Find(const array::Coordinates& coords);
-  // Adds `id` to the hash index, growing it to keep the load at most 1/2.
-  void IndexInsert(uint32_t id, uint64_t hash);
-
-  // Invokes `fn(record)` for every record inside the box [lo, hi], in
-  // lexicographic order; the contract is PlacementView::ForEachChunk's.
-  template <typename Fn>
-  void VisitBox(const array::Coordinates& lo, const array::Coordinates& hi,
-                Fn&& fn) const;
 
   // Flips `rec` to `to`, moving its bytes in the per-node accounting.
   void Reassign(Record& rec, NodeId to);
@@ -281,13 +255,8 @@ class Cluster : public PlacementView {
   std::vector<int64_t> node_chunks_;
   int64_t total_bytes_ = 0;
 
-  // The placement table (see the file comment): the slab, the ids in
-  // lexicographic order, and the hash index, whose slots hold
-  // (hash >> 32) << 32 | id, or kEmptySlot.
-  static constexpr uint64_t kEmptySlot = UINT64_MAX;
-  std::vector<Record> records_;
-  std::vector<uint32_t> ordered_ids_;
-  std::vector<uint64_t> index_;
+  // The placement table (see the file comment).
+  array::ChunkTable<Record, &Record::coords> table_;
 
   // Incremental-reorg staging: the plan's moves in order, a cursor to the
   // first uncommitted move, and the in-flight slice [pending_cursor_,
@@ -297,29 +266,6 @@ class Cluster : public PlacementView {
   size_t in_flight_end_ = 0;
   uint64_t reorg_epoch_ = 0;
 };
-
-template <typename Fn>
-void Cluster::VisitBox(const array::Coordinates& lo,
-                       const array::Coordinates& hi, Fn&& fn) const {
-  auto it = std::lower_bound(
-      ordered_ids_.begin(), ordered_ids_.end(), lo,
-      [this](uint32_t id, const array::Coordinates& key) {
-        return records_[id].coords < key;
-      });
-  for (; it != ordered_ids_.end(); ++it) {
-    const Record& rec = records_[*it];
-    const array::Coordinates& c = rec.coords;
-    if (!hi.empty() && !c.empty() && c[0] > hi[0]) break;
-    bool inside = true;
-    for (size_t d = 0; d < lo.size() && d < c.size() && inside; ++d) {
-      inside = c[d] >= lo[d];
-    }
-    for (size_t d = 0; d < hi.size() && d < c.size() && inside; ++d) {
-      inside = c[d] <= hi[d];
-    }
-    if (inside) fn(rec);
-  }
-}
 
 }  // namespace arraydb::cluster
 

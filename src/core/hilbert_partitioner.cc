@@ -111,18 +111,23 @@ cluster::MovePlan HilbertPartitioner::PlanScaleOut(
   ARRAYDB_CHECK_GE(new_count, old_node_count);
 
   // Working view: (rank, bytes) for every stored chunk, plus per-node loads
-  // that are updated as ranges split within this scale-out.
+  // that are updated as ranges split within this scale-out. `visit_ranks`
+  // keeps the ranks in the walk's lexicographic order, so the relocation
+  // walk below reads them by ordinal instead of probing the rank memo again.
   struct Entry {
     uint64_t rank;
     int64_t bytes;
   };
   std::vector<Entry> entries;
   entries.reserve(static_cast<size_t>(cluster.num_chunks()));
+  std::vector<uint64_t> visit_ranks;
+  visit_ranks.reserve(static_cast<size_t>(cluster.num_chunks()));
   std::vector<int64_t> load(static_cast<size_t>(new_count), 0);
   cluster.ForEachChunk({}, {},
                        [&](const array::Coordinates& coords, NodeId,
                            int64_t bytes) {
                          const uint64_t rank = RankOf(coords);
+                         visit_ranks.push_back(rank);
                          entries.push_back(Entry{rank, bytes});
                          load[static_cast<size_t>(OwnerOfRank(rank))] += bytes;
                        });
@@ -190,9 +195,16 @@ cluster::MovePlan HilbertPartitioner::PlanScaleOut(
     load[static_cast<size_t>(new_node)] += moved;
   }
 
-  return PlanRelocations(cluster, [this](const array::Coordinates& coords) {
-    return OwnerOfRank(RankOf(coords));
-  });
+  // PlanRelocations walks the same placement in the same lexicographic
+  // order, so its i-th visit is the i-th chunk ranked above.
+  size_t ordinal = 0;
+  cluster::MovePlan plan =
+      PlanRelocations(cluster, [&](const array::Coordinates&) {
+        ARRAYDB_CHECK_LT(ordinal, visit_ranks.size());
+        return OwnerOfRank(visit_ranks[ordinal++]);
+      });
+  ARRAYDB_CHECK_EQ(ordinal, visit_ranks.size());
+  return plan;
 }
 
 NodeId HilbertPartitioner::Locate(

@@ -18,8 +18,8 @@ namespace {
 // domain on both sides. Synthetic metadata-only chunks carry no cells.
 std::vector<const array::Chunk*> NonEmptyChunks(const array::Array& array) {
   std::vector<const array::Chunk*> chunks;
-  for (const array::Chunk* chunk : array.SortedChunks()) {
-    if (chunk->num_cells() != 0) chunks.push_back(chunk);
+  for (const auto& [coords, chunk] : array.chunks()) {
+    if (chunk.num_cells() != 0) chunks.push_back(&chunk);
   }
   return chunks;
 }
@@ -145,7 +145,6 @@ int64_t DimJoinCountBySet(const array::Array& a, const array::Array& b) {
     const int64_t* pos = chunk.cell_pos(i);
     scratch.assign(pos, pos + chunk.num_dims());
   };
-  // arraydb-lint: order-insensitive -- set insertion is commutative.
   for (const auto& [coords, chunk] : build.chunks()) {
     for (size_t i = 0; i < chunk.num_cells(); ++i) {
       load_pos(chunk, i);
@@ -153,8 +152,6 @@ int64_t DimJoinCountBySet(const array::Array& a, const array::Array& b) {
     }
   }
   int64_t matches = 0;
-  // arraydb-lint: order-insensitive -- exact integer count of membership
-  // hits; no visit-order dependence.
   for (const auto& [coords, chunk] : probe.chunks()) {
     for (size_t i = 0; i < chunk.num_cells(); ++i) {
       load_pos(chunk, i);

@@ -42,10 +42,10 @@ std::vector<const array::Chunk*> BBoxSurvivors(const array::Array& array,
   const size_t ndims = box.lo.size();
   ARRAYDB_CHECK_EQ(box.hi.size(), ndims);
   std::vector<const array::Chunk*> chunks;
-  for (const array::Chunk* chunk : array.SortedChunks()) {
-    if (chunk->num_cells() == 0) continue;
-    ARRAYDB_CHECK_EQ(chunk->bbox_lo().size(), ndims);
-    chunks.push_back(chunk);
+  for (const auto& [coords, chunk] : array.chunks()) {
+    if (chunk.num_cells() == 0) continue;
+    ARRAYDB_CHECK_EQ(chunk.bbox_lo().size(), ndims);
+    chunks.push_back(&chunk);
   }
   if (chunks.empty()) return chunks;
   simd::BBoxSoA boxes;
@@ -292,8 +292,8 @@ std::map<array::Coordinates, double> GroupBySum(
   for (const int64_t b : bin) ARRAYDB_CHECK_GT(b, 0);
   const size_t ndims = bin.size();
   std::vector<const array::Chunk*> chunks;
-  for (const array::Chunk* chunk : array.SortedChunks()) {
-    if (chunk->num_cells() != 0) chunks.push_back(chunk);
+  for (const auto& [coords, chunk] : array.chunks()) {
+    if (chunk.num_cells() != 0) chunks.push_back(&chunk);
   }
   using BinMap =
       std::unordered_map<array::Coordinates, double, array::CoordinatesHash>;
@@ -357,11 +357,10 @@ BuildValueIndex(const array::Array& array, int attr) {
   std::unordered_map<array::Coordinates, double, array::CoordinatesHash> index;
   index.reserve(static_cast<size_t>(array.total_cells()));
   array::Coordinates scratch;
-  // Sorted chunk order: with duplicate positions (e.g. a chunk staged twice
-  // mid-reorg) emplace keeps the first occurrence, so hash-order iteration
-  // would make the index contents history-dependent.
-  for (const array::Chunk* chunk_ptr : array.SortedChunks()) {
-    const array::Chunk& chunk = *chunk_ptr;
+  // Lexicographic chunk order: with duplicate positions (e.g. a chunk
+  // staged twice mid-reorg) emplace keeps the first occurrence, so
+  // hash-order iteration would make the index contents history-dependent.
+  for (const auto& [coords, chunk] : array.chunks()) {
     if (chunk.num_cells() == 0) continue;
     const auto& column = chunk.attr_column(static_cast<size_t>(attr));
     for (size_t i = 0; i < chunk.num_cells(); ++i) {
@@ -631,9 +630,9 @@ util::StatusOr<array::Array> Regrid(const array::Array& array,
   std::map<array::Coordinates, std::pair<double, int64_t>> acc;
   const size_t ndims = factors.size();
   array::Coordinates key(ndims);
-  // Sorted chunk order keeps floating-point accumulation deterministic.
-  for (const array::Chunk* chunk_ptr : array.SortedChunks()) {
-    const array::Chunk& chunk = *chunk_ptr;
+  // Lexicographic chunk order keeps floating-point accumulation
+  // deterministic.
+  for (const auto& [coords, chunk] : array.chunks()) {
     if (chunk.num_cells() == 0) continue;
     const auto& column = chunk.attr_column(static_cast<size_t>(attr));
     const int64_t* pos = chunk.packed_coords().data();

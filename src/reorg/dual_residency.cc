@@ -14,13 +14,13 @@ cluster::NodeId RoutedNode(const Record& rec) {
 
 cluster::NodeId DualResidencyView::OwnerOf(
     const array::Coordinates& coords) const {
-  const auto* rec = cluster_->Find(coords);
+  const auto* rec = cluster_->table_.Find(coords);
   return rec == nullptr ? cluster::kInvalidNode : RoutedNode(*rec);
 }
 
 bool DualResidencyView::Lookup(const array::Coordinates& coords,
                                cluster::NodeId* node, int64_t* bytes) const {
-  const auto* rec = cluster_->Find(coords);
+  const auto* rec = cluster_->table_.Find(coords);
   if (rec == nullptr) return false;
   *node = RoutedNode(*rec);
   *bytes = rec->bytes;
@@ -31,7 +31,7 @@ void DualResidencyView::ForEachChunk(
     const array::Coordinates& lo, const array::Coordinates& hi,
     const std::function<void(const array::Coordinates&, cluster::NodeId,
                              int64_t)>& fn) const {
-  cluster_->VisitBox(lo, hi, [&fn](const auto& rec) {
+  cluster_->table_.ForEachInBox(lo, hi, [&fn](const auto& rec) {
     fn(rec.coords, RoutedNode(rec), rec.bytes);
   });
 }

@@ -101,7 +101,7 @@ void BM_PlanScaleOut(benchmark::State& state) {
 }
 
 // Chunk-parallel placement prewarm (the ingest fast path): batched Hilbert
-// rank computation sharded over the thread pool. Thread counts beyond the
+// rank computation in fixed-size morsels on exec::MorselScheduler. Thread counts beyond the
 // machine's core count degenerate gracefully; results are identical for
 // every thread count by construction.
 void BM_PrewarmPlacement(benchmark::State& state) {

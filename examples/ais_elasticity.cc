@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <unordered_set>
 
+#include "exec/join.h"
 #include "exec/operators.h"
 #include "workload/ais.h"
 #include "workload/runner.h"

@@ -2,13 +2,19 @@
 
 #include <algorithm>
 
+#include "exec/morsel.h"
 #include "hilbert/hilbert.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace arraydb::core {
 
 namespace {
+
+// Chunks per prewarm morsel: fixed, so the decomposition (and the
+// exec.morsel.* totals) never depend on the thread count, and small enough
+// that a typical insert batch (thousands of chunks) spreads over every
+// worker.
+constexpr int64_t kPrewarmGrainChunks = 256;
 
 // Schema-driven codec construction goes through the checked factory: a
 // projected rank above the 6-dim state tables (or an index budget
@@ -65,12 +71,15 @@ uint64_t HilbertPartitioner::RankOf(
 
 void HilbertPartitioner::PrewarmPlacement(
     const std::vector<array::ChunkInfo>& batch, int num_threads) {
-  // Parallel phase: each shard writes only its own slots of `ranks`, so the
-  // merge below observes one fixed, order-independent result.
+  // Parallel phase: each morsel writes only its own slots of `ranks`, so
+  // the merge below observes one fixed, order-independent result.
   std::vector<uint64_t> ranks(batch.size(), 0);
-  util::ParallelFor(
-      static_cast<int64_t>(batch.size()), num_threads,
-      [this, &batch, &ranks](int64_t begin, int64_t end) {
+  exec::ExecContext context;
+  context.data_plane_threads = num_threads;
+  exec::MorselScheduler(context).Run(
+      exec::MorselScheduler::Carve(static_cast<int64_t>(batch.size()),
+                                   kPrewarmGrainChunks),
+      [this, &batch, &ranks](size_t, int64_t begin, int64_t end) {
         for (int64_t i = begin; i < end; ++i) {
           ranks[static_cast<size_t>(i)] = codec_.RankChecked(
               projection_.Project(batch[static_cast<size_t>(i)].coords),

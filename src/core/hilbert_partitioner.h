@@ -40,9 +40,10 @@ class HilbertPartitioner final : public Partitioner {
                                  int old_node_count) override;
   NodeId Locate(const array::Coordinates& chunk_coords) const override;
 
-  /// Computes the curve ranks of `batch` in parallel (contiguous shards,
-  /// ordered merge into the rank memo), so PlaceChunk/PlanScaleOut never
-  /// re-derive ranks for already-seen chunks. Placement-neutral.
+  /// Computes the curve ranks of `batch` in parallel (fixed-size morsels
+  /// on exec::MorselScheduler, ordered merge into the rank memo), so
+  /// PlaceChunk/PlanScaleOut never re-derive ranks for already-seen
+  /// chunks. Placement-neutral.
   void PrewarmPlacement(const std::vector<array::ChunkInfo>& batch,
                         int num_threads) override;
 

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 
 #include "telemetry/trace.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace arraydb::exec {
 
@@ -33,10 +35,10 @@ void YieldPoint::Resume() const {
   open_.notify_all();
 }
 
-MorselScheduler::MorselScheduler(MorselOptions options)
-    : options_(options),
-      threads_(util::ResolveThreadCount(options.threads)) {
-  ARRAYDB_CHECK_GT(options_.grain_cells, 0);
+MorselScheduler::MorselScheduler(const ExecContext& context)
+    : threads_(util::ResolveThreadCount(context.data_plane_threads)),
+      yield_(context.yield) {
+  ARRAYDB_CHECK_GT(context.morsel_grain, 0);
 }
 
 std::vector<MorselRange> MorselScheduler::Carve(int64_t n, int64_t grain) {
@@ -82,60 +84,68 @@ void MorselScheduler::Run(
   TELEM_COUNTER_ADD("exec.morsel.morsels_dispatched",
                     static_cast<int64_t>(count));
 
+  // Pickup and completion state, shared with the helper tasks. The caller
+  // waits until every *morsel* has finished, not every helper: a helper
+  // queued behind pool workers that are themselves blocked in an enclosing
+  // Run may never start before the caller's own pump has drained the
+  // counter. Such a helper starts late, finds no morsel, and returns
+  // without touching `morsels` or `fn` on the caller's (gone) stack — only
+  // this heap state, which it co-owns.
+  struct Progress {
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable done;
+    size_t finished = 0;  // Morsels completed; guarded by mu.
+  };
+  const auto progress = std::make_shared<Progress>();
+
   // Shared ascending pickup: whichever worker is free takes the next morsel
   // index, so pickup order is chunk-major and load balancing is dynamic.
-  std::atomic<size_t> next{0};
-  const YieldPoint* yield = options_.yield;
-  const auto pump = [&next, &morsels, &fn, count, yield] {
-    TELEM_SPAN("exec.morsel.worker");
-    const int64_t busy_start_ns = telemetry::MetricsNowNs();
-    for (size_t m = next.fetch_add(1, std::memory_order_relaxed); m < count;
-         m = next.fetch_add(1, std::memory_order_relaxed)) {
-      // The pickup counter is the preemption boundary: a held yield gate
-      // stalls the worker here, between morsels, never mid-morsel.
-      if (yield) yield->Wait();
-      fn(m, morsels[m].first, morsels[m].second);
+  // `morsels`, `fn` and `yield` are only dereferenced after a successful
+  // pickup, while the caller is still waiting for that morsel.
+  const YieldPoint* yield = yield_;
+  const auto pump = [progress, &morsels, &fn, count, yield] {
+    size_t m = progress->next.fetch_add(1, std::memory_order_relaxed);
+    if (m >= count) return;
+    size_t ran = 0;
+    {
+      TELEM_SPAN("exec.morsel.worker");
+      const int64_t busy_start_ns = telemetry::MetricsNowNs();
+      for (; m < count;
+           m = progress->next.fetch_add(1, std::memory_order_relaxed)) {
+        // The pickup counter is the preemption boundary: a held yield gate
+        // stalls the worker here, between morsels, never mid-morsel.
+        if (yield != nullptr) yield->Wait();
+        fn(m, morsels[m].first, morsels[m].second);
+        ++ran;
+      }
+      if (busy_start_ns > 0) {
+        TELEM_HISTOGRAM_RECORD(
+            "exec.morsel.worker_busy_us",
+            (telemetry::MetricsNowNs() - busy_start_ns) / 1000);
+      }
     }
-    if (busy_start_ns > 0) {
-      TELEM_HISTOGRAM_RECORD(
-          "exec.morsel.worker_busy_us",
-          (telemetry::MetricsNowNs() - busy_start_ns) / 1000);
-    }
+    const std::lock_guard<std::mutex> lock(progress->mu);
+    progress->finished += ran;
+    if (progress->finished == count) progress->done.notify_one();
   };
 
   const int helpers =
       static_cast<int>(
           std::min<size_t>(static_cast<size_t>(threads_), count)) -
       1;
-  if (helpers <= 0) {
-    pump();
-    return;
+  if (helpers > 0) {
+    util::ThreadPool::Shared().SubmitBatch(
+        std::vector<std::function<void()>>(static_cast<size_t>(helpers),
+                                           pump));
   }
-
-  struct Completion {
-    std::mutex mu;
-    std::condition_variable done;
-    int remaining = 0;
-  } completion;
-  completion.remaining = helpers;
-
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(static_cast<size_t>(helpers));
-  for (int h = 0; h < helpers; ++h) {
-    tasks.emplace_back([&pump, &completion] {
-      pump();
-      std::lock_guard<std::mutex> lock(completion.mu);
-      if (--completion.remaining == 0) completion.done.notify_one();
-    });
-  }
-  util::ThreadPool::Shared().SubmitBatch(std::move(tasks));
-  // The calling thread is a full worker: with a 1-thread pool (or a busy
-  // pool) it drains every morsel itself, so completion never deadlocks on
-  // pool capacity.
+  // The calling thread is a full worker: with a 1-thread pool, a busy pool
+  // or a nested Run it drains every morsel itself, so completion never
+  // waits on pool capacity.
   pump();
-  std::unique_lock<std::mutex> lock(completion.mu);
-  completion.done.wait(lock,
-                       [&completion] { return completion.remaining == 0; });
+  std::unique_lock<std::mutex> lock(progress->mu);
+  progress->done.wait(
+      lock, [&progress, count] { return progress->finished == count; });
 }
 
 }  // namespace arraydb::exec

@@ -1,17 +1,16 @@
-// Morsel-driven parallel operator execution (§6.2.2's per-node parallel
-// scan work, brought to the real data-plane operators).
+// Morsel-driven parallel execution (§6.2.2's per-node parallel scan work,
+// brought to the real data plane): the one parallel loop of the system.
 //
 // A MorselScheduler carves a work domain — an array's sorted chunk list, a
-// FilterBoxView's span set, a CellSpanView's global cell range — into
-// cache-sized morsels and dispatches them on util::ThreadPool. Workers pick
-// morsels off a shared atomic counter in ascending index order, so a worker
-// that finishes early immediately steals the next morsel (dynamic load
-// balancing) while pickup stays chunk-major: consecutive morsels cover
-// consecutive runs of the columnar storage, so each worker streams
-// contiguous memory.
+// FilterBoxView's span set, a CellSpanView's global cell range, an insert
+// batch's placement prewarm, a reorg slice's moves — into morsels and
+// dispatches them on util::ThreadPool. Workers pick morsels off a shared
+// atomic counter in ascending index order, so a worker that finishes early
+// immediately steals the next morsel (dynamic load balancing) while pickup
+// stays chunk-major: consecutive morsels cover consecutive runs of the
+// columnar storage, so each worker streams contiguous memory.
 //
-// Determinism contract (the same one the ingest prewarm and the SIMD
-// lane-accumulation honor):
+// Determinism contract (the same one the SIMD lane-accumulation honors):
 //   * The morsel decomposition is a pure function of the work domain and
 //     the grain size — never of the thread count or the schedule.
 //   * Each morsel computes a partial state into its own slot; no shared
@@ -19,9 +18,9 @@
 //   * Partials combine through a fixed-order reduction: ascending morsel
 //     index on the calling thread, after all morsels complete. The combine
 //     schedule depends only on the morsel count.
-// Consequently every operator built on the scheduler is bit-identical to
-// its sequential form (threads = 1 executes the same morsels in the same
-// order inline) and invariant across thread counts. See src/exec/README.md.
+// Consequently every loop built on the scheduler is bit-identical to its
+// sequential form (threads = 1 executes the same morsels in the same order
+// inline) and invariant across thread counts. See src/exec/README.md.
 
 #ifndef ARRAYDB_EXEC_MORSEL_H_
 #define ARRAYDB_EXEC_MORSEL_H_
@@ -34,17 +33,14 @@
 #include <utility>
 #include <vector>
 
+#include "exec/exec_context.h"
 #include "telemetry/telemetry.h"
-#include "util/thread_pool.h"
 
 namespace arraydb::exec {
 
-/// Default target cells per morsel (see MorselOptions::grain_cells).
-inline constexpr int64_t kDefaultMorselGrainCells = 16384;
-
 /// Cooperative preemption gate at the morsel pickup counter. While the
 /// gate is held (Pause without matching Resume), morsel workers running
-/// under an options set that carries the gate block in Wait() before
+/// under an ExecContext that carries the gate block in Wait() before
 /// picking their next morsel; Resume releases them. The serving layer
 /// holds the gate for batch-tier work whenever interactive queries are
 /// pending, so long scans yield between morsels — never mid-morsel, and
@@ -73,35 +69,17 @@ class YieldPoint {
   mutable std::condition_variable open_;
 };
 
-struct MorselOptions {
-  /// Worker threads for data-plane operators. Positive = exact count,
-  /// 0 = auto (hardware concurrency); interpreted by the single
-  /// util::ResolveThreadCount convention. 1 is exactly the sequential path.
-  int threads = 1;
-  /// Target cells per morsel. ~16k cells keeps a morsel's touched columns
-  /// (coords + one attribute + mask, ~33 B/cell at rank 3) inside a core's
-  /// L2 slice while still amortizing dispatch overhead. Results never
-  /// depend on the thread count, but they may depend on the grain (it fixes
-  /// the reduction boundaries), so the grain is a stored option, not a
-  /// per-call knob.
-  int64_t grain_cells = kDefaultMorselGrainCells;
-  /// Optional yield gate consulted at every morsel pickup (including the
-  /// sequential inline path between morsels). Timing-only; not owned, and
-  /// must outlive the operator call. Normally set through
-  /// ExecContext::yield rather than directly.
-  const YieldPoint* yield = nullptr;
-};
-
 /// Half-open [begin, end) range of work units (cells, chunks, positions).
 using MorselRange = std::pair<int64_t, int64_t>;
 
 class MorselScheduler {
  public:
-  explicit MorselScheduler(MorselOptions options = MorselOptions());
+  /// Runs with `context.data_plane_threads` workers and consults
+  /// `context.yield` at every morsel pickup.
+  explicit MorselScheduler(const ExecContext& context = ExecContext());
 
   /// Resolved worker count (>= 1).
   int threads() const { return threads_; }
-  const MorselOptions& options() const { return options_; }
 
   /// Carves [0, n) into contiguous morsels of ~`grain` units (the last
   /// morsel absorbs the remainder; n <= grain yields one morsel). Pure in
@@ -116,8 +94,11 @@ class MorselScheduler {
       const std::vector<int64_t>& weights, int64_t grain);
 
   /// Runs fn(morsel_index, begin, end) for every morsel; workers pick
-  /// morsels in ascending index order; blocks until all complete. fn must
-  /// only write state owned by its morsel index.
+  /// morsels in ascending index order; blocks until all morsels complete.
+  /// fn must only write state owned by its morsel index. Safe to nest (fn
+  /// may itself call Run): the caller drains morsels itself and waits for
+  /// morsels, never for pool workers, so it completes even when every pool
+  /// worker is blocked in an enclosing Run.
   void Run(const std::vector<MorselRange>& morsels,
            const std::function<void(size_t, int64_t, int64_t)>& fn) const;
 
@@ -141,7 +122,7 @@ class MorselScheduler {
                           static_cast<int64_t>(morsels.size()));
       }
       for (size_t m = 0; m < morsels.size(); ++m) {
-        if (options_.yield) options_.yield->Wait();
+        if (yield_ != nullptr) yield_->Wait();
         combine(acc, morsel_fn(m, morsels[m].first, morsels[m].second));
       }
       return acc;
@@ -156,8 +137,8 @@ class MorselScheduler {
   }
 
  private:
-  MorselOptions options_;
   int threads_;
+  const YieldPoint* yield_;
 };
 
 }  // namespace arraydb::exec

@@ -6,6 +6,7 @@
 #include <limits>
 #include <utility>
 
+#include "exec/morsel.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -34,6 +35,11 @@ uint64_t MoveDigest(const cluster::ChunkMove& m) {
 }
 
 constexpr double kMinutesPerMs = 1.0 / 60000.0;
+
+// Moves per copy-loop morsel: fixed, so the decomposition (and the
+// exec.morsel.* totals) never depend on the copy thread count, and small
+// enough that a slice of a few thousand moves spreads over every worker.
+constexpr int64_t kCopyGrainMoves = 256;
 
 }  // namespace
 
@@ -269,16 +275,19 @@ util::StatusOr<IncrementStats> IncrementalReorgEngine::Step() {
       summary_.recovery_overhead_minutes += backoff_minutes;
     }
 
-    // Simulated copy: shard the slice over the pool; each shard checksums
+    // Simulated copy: carve the slice into morsels; each morsel checksums
     // what it "transfers" and probes the injector per move. XOR combination
     // and the order-fixed reduce below keep the digest and the fault tally
     // bit-identical across thread counts.
     std::vector<uint64_t> shard_digests(moves.size(), 0);
     std::vector<uint8_t> kinds(moves.size(), 0);
-    util::ParallelFor(
-        static_cast<int64_t>(moves.size()), copy_threads_,
+    exec::ExecContext context;
+    context.data_plane_threads = copy_threads_;
+    exec::MorselScheduler(context).Run(
+        exec::MorselScheduler::Carve(static_cast<int64_t>(moves.size()),
+                                     kCopyGrainMoves),
         [&moves, &shard_digests, &kinds, injector, ordinal, inc_index,
-         attempt](int64_t begin, int64_t end) {
+         attempt](size_t, int64_t begin, int64_t end) {
           for (int64_t i = begin; i < end; ++i) {
             const uint64_t d = MoveDigest(moves[static_cast<size_t>(i)]);
             shard_digests[static_cast<size_t>(i)] = d;

@@ -8,9 +8,10 @@
 //     (OnlyToNodesAtOrAbove) and prices the *whole* plan once via
 //     CostModel::ReorgMinutes — the bandwidth budget shapes scheduling, not
 //     total transfer work, so `work_minutes` is invariant under slicing.
-//   * Step carves the next increment, simulates its copy on the shared
-//     util::ThreadPool (a sharded FNV digest over the transferred chunk
-//     metadata stands in for the data checksum; XOR-combined, so it is
+//   * Step carves the next increment, simulates its copy on
+//     exec::MorselScheduler, the system's one parallel loop (a per-move FNV
+//     digest over the transferred chunk metadata stands in for the data
+//     checksum; morsels of a fixed move count, XOR-combined, so it is
 //     bit-identical for every thread count and increment size), re-validates
 //     the incremental property per slice, prices the slice in isolation for
 //     the migration trajectory, and commits the flip.
@@ -37,7 +38,7 @@
 // deterministic: the same seed replays the identical trajectory.
 //
 // Exposed follow-ons: NUMA/socket-aware increment ordering and a real async
-// copy pipeline hang off Step()'s thread-pool hook.
+// copy pipeline hang off Step()'s copy loop.
 
 #ifndef ARRAYDB_REORG_REORG_ENGINE_H_
 #define ARRAYDB_REORG_REORG_ENGINE_H_

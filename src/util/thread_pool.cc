@@ -24,18 +24,6 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  ARRAYDB_CHECK(task != nullptr);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ARRAYDB_CHECK(!stopping_);
-    queue_.push_back(Task{std::move(task), telemetry::MetricsNowNs()});
-    TELEM_GAUGE_SET("util.thread_pool.queue_depth",
-                    static_cast<int64_t>(queue_.size()));
-  }
-  work_available_.notify_one();
-}
-
 void ThreadPool::SubmitBatch(std::vector<std::function<void()>> tasks) {
   if (tasks.empty()) return;
   {
@@ -90,44 +78,6 @@ ThreadPool& ThreadPool::Shared() {
 int ResolveThreadCount(int configured) {
   if (configured > 0) return configured;
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-}
-
-void ParallelFor(int64_t n, int max_shards,
-                 const std::function<void(int64_t, int64_t)>& body) {
-  if (n <= 0) return;
-  const int64_t shards =
-      std::min<int64_t>(std::max(1, max_shards), n);
-  if (shards == 1) {
-    body(0, n);
-    return;
-  }
-
-  // Contiguous static partition: shard s owns [s*step, ...) with the last
-  // shard absorbing the remainder. Completion is tracked with a counter so
-  // the caller can block without joining threads.
-  struct Completion {
-    std::mutex mu;
-    std::condition_variable done;
-    int64_t remaining = 0;
-  } completion;
-  completion.remaining = shards;
-
-  const int64_t step = n / shards;
-  const int64_t extra = n % shards;
-  int64_t begin = 0;
-  auto& pool = ThreadPool::Shared();
-  for (int64_t s = 0; s < shards; ++s) {
-    const int64_t len = step + (s < extra ? 1 : 0);
-    const int64_t end = begin + len;
-    pool.Submit([&body, &completion, begin, end] {
-      body(begin, end);
-      std::lock_guard<std::mutex> lock(completion.mu);
-      if (--completion.remaining == 0) completion.done.notify_one();
-    });
-    begin = end;
-  }
-  std::unique_lock<std::mutex> lock(completion.mu);
-  completion.done.wait(lock, [&completion] { return completion.remaining == 0; });
 }
 
 }  // namespace arraydb::util

@@ -1,11 +1,9 @@
-// A small fixed-size thread pool plus a deterministic ParallelFor helper.
-//
-// The pool exists for the chunk-parallel ingest/placement fast path: rank
-// computation and other per-chunk work is sharded into contiguous index
-// ranges, each shard writes only its own output slots, and the caller
-// blocks until every shard has finished (ordered merge). Results are
-// bit-identical to the sequential execution regardless of thread count or
-// scheduling.
+// A small fixed-size thread pool: the workers behind exec::MorselScheduler,
+// the system's one parallel loop (placement prewarm, reorg copy loop,
+// data-plane operators, joins and serving closures all run on it). The
+// scheduler submits its helper tasks in one SubmitBatch call; this pool
+// knows nothing of morsels, determinism or completion — those contracts
+// live in exec/morsel.h.
 
 #ifndef ARRAYDB_UTIL_THREAD_POOL_H_
 #define ARRAYDB_UTIL_THREAD_POOL_H_
@@ -31,13 +29,9 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues `task` for execution on some worker.
-  void Submit(std::function<void()> task);
-
   /// Enqueues all of `tasks` under one lock acquisition and wakes enough
-  /// workers for them (batched submission for fan-outs like the morsel
-  /// scheduler, which would otherwise pay a lock/notify round-trip per
-  /// worker). Queue order is the vector order.
+  /// workers for them (one lock/notify round-trip per fan-out, not per
+  /// task). Queue order is the vector order.
   void SubmitBatch(std::vector<std::function<void()>> tasks);
 
   /// Process-wide pool sized to the hardware concurrency, started lazily.
@@ -61,19 +55,15 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs body(begin, end) over contiguous shards of [0, n), at most
-/// `max_shards` of them, on the shared pool; blocks until all shards have
-/// completed. max_shards <= 1 (or tiny n) degenerates to an inline call, so
-/// a thread count of 1 is exactly the sequential path.
-void ParallelFor(int64_t n, int max_shards,
-                 const std::function<void(int64_t, int64_t)>& body);
-
 /// The one place a configured thread-count knob is interpreted: a positive
 /// value is taken verbatim; zero (or negative) means "auto" and resolves to
 /// std::thread::hardware_concurrency(), clamped to at least 1 for platforms
-/// that report 0. Every consumer of a `* _threads` config field
-/// (RunnerConfig::ingest_threads, reorg::ReorgOptions::copy_threads,
-/// ElasticEngine::set_ingest_threads) resolves through this helper.
+/// that report 0. Every `*_threads` setting resolves through this helper:
+/// exec::MorselScheduler resolves ExecContext::data_plane_threads, which the
+/// placement prewarm fills from the ingest threads
+/// (ElasticEngine::set_ingest_threads, IngestConfig::threads), the reorg
+/// copy loop from reorg::ReorgOptions::copy_threads and the serving layer
+/// from serve::ServerOptions::compute_threads.
 int ResolveThreadCount(int configured);
 
 }  // namespace arraydb::util

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "array/array.h"
+#include "exec/join.h"
 #include "exec/operators.h"
 #include "workload/sample_data.h"
 

@@ -29,39 +29,6 @@ TEST(ExecContextTest, DefaultsMatchTheKnobDefaults) {
   EXPECT_EQ(context.join_partition_bits, kDefaultJoinPartitionBits);
   EXPECT_EQ(context.morsel_grain, kDefaultMorselGrainCells);
   EXPECT_EQ(context.yield, nullptr);
-
-  const MorselOptions morsel = context.morsel_options();
-  EXPECT_EQ(morsel.threads, 1);
-  EXPECT_EQ(morsel.grain_cells, kDefaultMorselGrainCells);
-  EXPECT_EQ(morsel.yield, nullptr);
-  const JoinOptions join = context.join_options();
-  EXPECT_EQ(join.partition_bits, kDefaultJoinPartitionBits);
-  EXPECT_EQ(join.morsel.threads, 1);
-
-  // The overloads without a context run with the default options, which
-  // must equal the default context's.
-  EXPECT_EQ(MorselOptions().threads, morsel.threads);
-  EXPECT_EQ(MorselOptions().grain_cells, morsel.grain_cells);
-  EXPECT_EQ(JoinOptions().partition_bits, join.partition_bits);
-  EXPECT_EQ(JoinOptions().morsel.threads, join.morsel.threads);
-}
-
-TEST(ExecContextTest, MorselAndJoinOptionsCarryEverySetting) {
-  YieldPoint gate;
-  ExecContext context;
-  context.data_plane_threads = 3;
-  context.join_partition_bits = 5;
-  context.morsel_grain = 256;
-  context.yield = &gate;
-  const MorselOptions morsel = context.morsel_options();
-  EXPECT_EQ(morsel.threads, 3);
-  EXPECT_EQ(morsel.grain_cells, 256);
-  EXPECT_EQ(morsel.yield, &gate);
-  const JoinOptions join = context.join_options();
-  EXPECT_EQ(join.partition_bits, 5);
-  EXPECT_EQ(join.morsel.threads, 3);
-  EXPECT_EQ(join.morsel.grain_cells, 256);
-  EXPECT_EQ(join.morsel.yield, &gate);
 }
 
 class ExecContextOperatorTest : public ::testing::Test {
@@ -89,7 +56,7 @@ class ExecContextOperatorTest : public ::testing::Test {
   array::Array other_;
 };
 
-TEST_F(ExecContextOperatorTest, ContextOverloadsMatchTheDefaultPath) {
+TEST_F(ExecContextOperatorTest, ExplicitContextsMatchTheDefaultPath) {
   const CellBox box = FullBox();
   const int64_t want_count = FilterBoxCount(modis_, box);
   const int64_t want_dim = DimJoinCount(modis_, other_);

@@ -30,11 +30,11 @@ using array::AttrType;
 using array::AttributeDesc;
 using array::DimensionDesc;
 
-JoinOptions Opts(int threads, int64_t grain, int partition_bits) {
-  JoinOptions opts;
-  opts.morsel.threads = threads;
-  opts.morsel.grain_cells = grain;
-  opts.partition_bits = partition_bits;
+ExecContext Opts(int threads, int64_t grain, int partition_bits) {
+  ExecContext opts;
+  opts.data_plane_threads = threads;
+  opts.morsel_grain = grain;
+  opts.join_partition_bits = partition_bits;
   return opts;
 }
 

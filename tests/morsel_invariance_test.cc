@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -33,10 +34,10 @@ class MorselInvarianceTest : public ::testing::Test {
         ais_(workload::MakeSmallAisTracks(/*months=*/5, /*ships=*/120,
                                           /*seed=*/29)) {}
 
-  static MorselOptions Opts(int threads, int64_t grain) {
-    MorselOptions opts;
-    opts.threads = threads;
-    opts.grain_cells = grain;
+  static ExecContext Opts(int threads, int64_t grain) {
+    ExecContext opts;
+    opts.data_plane_threads = threads;
+    opts.morsel_grain = grain;
     return opts;
   }
 
@@ -169,8 +170,8 @@ TEST(MorselSchedulerTest, CarveByWeightClosesAtTheGrain) {
 
 TEST(MorselSchedulerTest, ReduceCombinesInMorselOrderAtEveryThreadCount) {
   for (const int threads : {1, 2, 3, 0}) {
-    MorselOptions opts;
-    opts.threads = threads;
+    ExecContext opts;
+    opts.data_plane_threads = threads;
     const MorselScheduler scheduler(opts);
     const std::string got = scheduler.Reduce(
         MorselScheduler::Carve(23, 3), std::string(),
@@ -186,6 +187,49 @@ TEST(MorselSchedulerTest, ReduceCombinesInMorselOrderAtEveryThreadCount) {
               "0:0-3|1:3-6|2:6-9|3:9-12|4:12-15|5:15-18|6:18-21|7:21-23")
         << "threads=" << threads;
   }
+}
+
+TEST(MorselSchedulerTest, RunCoversEveryIndexExactlyOnce) {
+  constexpr int64_t kN = 1000;
+  for (const int threads : {1, 2, 0}) {
+    for (const int64_t grain : {1, 7, 64, 1000}) {
+      ExecContext context;
+      context.data_plane_threads = threads;
+      std::vector<std::atomic<int>> hits(kN);
+      for (auto& h : hits) h.store(0);
+      MorselScheduler(context).Run(
+          MorselScheduler::Carve(kN, grain),
+          [&hits](size_t, int64_t begin, int64_t end) {
+            for (int64_t i = begin; i < end; ++i) {
+              hits[static_cast<size_t>(i)]++;
+            }
+          });
+      for (int64_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1)
+            << "threads=" << threads << " grain=" << grain << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(MorselSchedulerTest, RunHandlesEmptyAndTinyRanges) {
+  // More threads than morsels (n < threads).
+  ExecContext context;
+  context.data_plane_threads = 16;
+  const MorselScheduler scheduler(context);
+  int calls = 0;
+  scheduler.Run(MorselScheduler::Carve(0, 1),
+                [&calls](size_t, int64_t, int64_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  std::vector<std::atomic<int>> hits(3);
+  for (auto& h : hits) h.store(0);
+  scheduler.Run(MorselScheduler::Carve(3, 1),
+                [&hits](size_t, int64_t begin, int64_t end) {
+                  for (int64_t i = begin; i < end; ++i) {
+                    hits[static_cast<size_t>(i)]++;
+                  }
+                });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(CellSpanSliceTest, ForEachSliceReassemblesTheGlobalOrder) {

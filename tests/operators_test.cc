@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "array/array.h"
+#include "exec/join.h"
 #include "exec/operators.h"
 #include "util/rng.h"
 

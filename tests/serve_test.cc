@@ -344,9 +344,9 @@ TEST(YieldPointTest, PausedGateParksMorselWorkers) {
   EXPECT_TRUE(gate.paused());
 
   std::atomic<int64_t> processed{0};
-  exec::MorselOptions options;
-  options.threads = 2;
-  options.grain_cells = 8;
+  exec::ExecContext options;
+  options.data_plane_threads = 2;
+  options.morsel_grain = 8;
   options.yield = &gate;
   exec::MorselScheduler scheduler(options);
   std::thread runner([&] {
@@ -370,8 +370,8 @@ TEST(YieldPointTest, OpenGateIsTransparent) {
   exec::YieldPoint gate;
   EXPECT_FALSE(gate.paused());
   gate.Wait();  // Must not block.
-  exec::MorselOptions options;
-  options.threads = 1;
+  exec::ExecContext options;
+  options.data_plane_threads = 1;
   options.yield = &gate;
   exec::MorselScheduler scheduler(options);
   std::atomic<int64_t> processed{0};

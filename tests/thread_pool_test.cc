@@ -1,12 +1,14 @@
 // Tests for the thread pool and the deterministic chunk-parallel
 // ingest/placement fast path: any thread count must produce exactly the
 // sequential results (ordered merge), and the pool must execute every
-// submitted task exactly once.
+// submitted task exactly once. The parallel loop itself is covered in
+// morsel_invariance_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -31,43 +33,19 @@ TEST(ThreadPoolTest, SubmittedTasksAllRun) {
   std::condition_variable cv;
   util::ThreadPool pool(3);
   constexpr int kTasks = 64;
+  std::vector<std::function<void()>> tasks;
   for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([&] {
+    tasks.emplace_back([&] {
       if (done.fetch_add(1) + 1 == kTasks) {
         const std::lock_guard<std::mutex> guard(mu);
         cv.notify_one();
       }
     });
   }
+  pool.SubmitBatch(std::move(tasks));
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return done.load() == kTasks; });
   EXPECT_EQ(done.load(), kTasks);
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  for (const int shards : {1, 2, 3, 8, 64}) {
-    constexpr int64_t kN = 1000;
-    std::vector<std::atomic<int>> hits(kN);
-    for (auto& h : hits) h.store(0);
-    util::ParallelFor(kN, shards, [&hits](int64_t begin, int64_t end) {
-      for (int64_t i = begin; i < end; ++i) hits[static_cast<size_t>(i)]++;
-    });
-    for (int64_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1)
-          << "shards=" << shards << " i=" << i;
-    }
-  }
-}
-
-TEST(ParallelForTest, EmptyAndTinyRangesDegradeGracefully) {
-  int calls = 0;
-  util::ParallelFor(0, 4, [&calls](int64_t, int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  std::vector<int> hits(3, 0);
-  util::ParallelFor(3, 16, [&hits](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) hits[static_cast<size_t>(i)]++;
-  });
-  EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
 }
 
 array::ArraySchema GridSchema() {
